@@ -40,12 +40,14 @@
 //! its own, which is what makes `decode_range` trustworthy without
 //! touching the rest of the container.
 
-use arc_ecc::crc::crc32;
-use arc_ecc::{EccScheme, ParallelCodec, RsCodeword};
+use std::sync::Arc;
 
-use arc_ecc::EccConfig;
+use arc_ecc::crc::crc32;
+use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec, RsCodeword};
 
 use crate::error::ArcError;
+use crate::extension::{resolve_scheme, ExtensionRegistry};
+use crate::interface::ArcDecodeReport;
 
 /// Container magic.
 pub const MAGIC: &[u8; 4] = b"ARC1";
@@ -61,6 +63,10 @@ pub const INDEX_NSYM: usize = 32;
 /// that a tile read touches a sliver of a large field, large enough that
 /// per-shard index overhead stays negligible.
 pub const DEFAULT_SHARD_SIZE: usize = 4 << 20;
+
+/// The codec every container path runs: any scheme, built-in or
+/// extension, behind an `Arc`.
+pub(crate) type SchemeCodec = ParallelCodec<Arc<dyn EccScheme>>;
 
 /// Serialized size of one shard-index entry: offset `u64`, encoded length
 /// `u32`, decoded length `u32`, CRC-32 `u32`, scheme slot `u8` (reserved,
@@ -207,7 +213,7 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ContainerMeta, ArcError> {
     let scheme_id = id.to_string();
     let mut pos = 6 + id_len;
     let mut read_u64 = |bytes: &[u8]| -> u64 {
-        let v = le_u64(bytes, pos);
+        let v = u64::from_le_bytes(le(bytes, pos));
         pos += 8;
         v
     };
@@ -227,40 +233,22 @@ pub(crate) fn parse_header(bytes: &[u8]) -> Result<ContainerMeta, ArcError> {
     } else {
         None
     };
-    let data_crc = le_u32(bytes, pos);
+    let data_crc = u32::from_le_bytes(le(bytes, pos));
     if chunk_size == 0 {
         return Err(bad("zero chunk size"));
     }
     Ok(ContainerMeta { scheme_id, chunk_size, data_len, payload_len, data_crc, sharding })
 }
 
-/// Clamped little-endian `u64` load: bytes past the end read as zero. The
-/// `fixed` length check in [`parse_header`] guarantees the range exists;
-/// the clamp keeps the parser total even if that invariant ever breaks.
-fn le_u64(bytes: &[u8], pos: usize) -> u64 {
-    let mut b = [0u8; 8];
-    if let Some(src) = bytes.get(pos..pos + 8) {
+/// Clamped load of the `N` little-endian bytes at `pos`: bytes past the
+/// end read as zero. The parsers' length checks guarantee the range
+/// exists; the clamp keeps them total even if that invariant ever breaks.
+fn le<const N: usize>(bytes: &[u8], pos: usize) -> [u8; N] {
+    let mut b = [0u8; N];
+    if let Some(src) = bytes.get(pos..pos + N) {
         b.copy_from_slice(src);
     }
-    u64::from_le_bytes(b)
-}
-
-/// Clamped little-endian `u32` load (see [`le_u64`]).
-fn le_u32(bytes: &[u8], pos: usize) -> u32 {
-    let mut b = [0u8; 4];
-    if let Some(src) = bytes.get(pos..pos + 4) {
-        b.copy_from_slice(src);
-    }
-    u32::from_le_bytes(b)
-}
-
-/// Clamped little-endian `u16` load (see [`le_u64`]).
-pub(crate) fn le_u16(bytes: &[u8], pos: usize) -> u16 {
-    let mut b = [0u8; 2];
-    if let Some(src) = bytes.get(pos..pos + 2) {
-        b.copy_from_slice(src);
-    }
-    u16::from_le_bytes(b)
+    b
 }
 
 /// Size of the container framing for `meta` — the triplicated length
@@ -341,15 +329,21 @@ pub(crate) fn serialize_index(entries: &[ShardEntry]) -> Vec<u8> {
 /// its own codeword. The encoded length is a pure function of the raw
 /// length (and vice versa), so no extra framing is needed.
 pub(crate) fn rs_index_encode(raw: &[u8]) -> Result<Vec<u8>, ArcError> {
-    let Ok(rs) = RsCodeword::new(INDEX_NSYM) else {
+    let (Ok(rs), Some(len)) = (RsCodeword::new(INDEX_NSYM), rs_index_len(raw.len())) else {
         return Err(ArcError::InvalidRequest("index RS codeword unavailable".into()));
     };
-    let msg = rs.max_message_len();
-    let mut out = Vec::with_capacity(raw.len() + raw.len().div_ceil(msg) * INDEX_NSYM);
-    for chunk in raw.chunks(msg) {
+    // arc-lint: bounded(encode path; raw is an index this process serialized)
+    let mut out = Vec::with_capacity(len);
+    for chunk in raw.chunks(rs.max_message_len()) {
         out.extend_from_slice(&rs.encode(chunk));
     }
     Ok(out)
+}
+
+/// Length of the RS-protected form of a `raw_len`-byte raw index.
+fn rs_index_len(raw_len: usize) -> Option<usize> {
+    let msg = RsCodeword::new(INDEX_NSYM).ok()?.max_message_len();
+    raw_len.div_ceil(msg).checked_mul(INDEX_NSYM)?.checked_add(raw_len)
 }
 
 /// Attempt to RS-decode one copy of the index. Returns the raw bytes and
@@ -380,7 +374,7 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
     if raw.len() < 12 {
         return Err(bad("shorter than its framing"));
     }
-    let count = le_u64(raw, 0) as usize;
+    let count = u64::from_le_bytes(le(raw, 0)) as usize;
     let expect = count
         .checked_mul(INDEX_ENTRY_BYTES)
         .and_then(|n| n.checked_add(12))
@@ -389,7 +383,7 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
         return Err(bad("length disagrees with entry count"));
     }
     // arc-lint: bounded(raw.len() == count * INDEX_ENTRY_BYTES + 12 >= 12 checked above)
-    if le_u32(raw, raw.len() - 4) != crc32(&raw[..raw.len() - 4]) {
+    if u32::from_le_bytes(le(raw, raw.len() - 4)) != crc32(&raw[..raw.len() - 4]) {
         return Err(bad("CRC mismatch"));
     }
     let sharding = meta.sharding.ok_or_else(|| bad("index present on an unsharded container"))?;
@@ -399,10 +393,10 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
     let mut total_decoded = 0usize;
     for i in 0..count {
         let base = 8 + i * INDEX_ENTRY_BYTES;
-        let offset = le_u64(raw, base) as usize;
-        let encoded_len = le_u32(raw, base + 8) as usize;
-        let decoded_len = le_u32(raw, base + 12) as usize;
-        let crc = le_u32(raw, base + 16);
+        let offset = u64::from_le_bytes(le(raw, base)) as usize;
+        let encoded_len = u32::from_le_bytes(le(raw, base + 8)) as usize;
+        let decoded_len = u32::from_le_bytes(le(raw, base + 12)) as usize;
+        let crc = u32::from_le_bytes(le(raw, base + 16));
         // arc-lint: bounded(base + 20 < raw.len() by the entry-count length equality above)
         if raw[base + 20] != 0 {
             return Err(bad("unknown per-shard scheme slot"));
@@ -432,14 +426,17 @@ fn parse_index(raw: &[u8], meta: &ContainerMeta) -> Result<ShardIndex, ArcError>
     Ok(ShardIndex { entries })
 }
 
-/// Recover the shard index from its three copies: first copy whose RS
-/// codewords decode *and* whose contents validate wins; if none does, a
-/// bitwise 2-of-3 majority vote across the copies gets one final attempt.
+/// Recover the shard index from `trailer`, its three back-to-back copies:
+/// first copy whose RS codewords decode *and* whose contents validate
+/// wins; if none does, a bitwise 2-of-3 majority vote across the copies
+/// gets one final attempt.
 pub(crate) fn recover_index(
-    copies: [&[u8]; 3],
+    trailer: &[u8],
     meta: &ContainerMeta,
 ) -> Result<(ShardIndex, IndexRepair), ArcError> {
-    for (copy_used, copy) in copies.iter().enumerate() {
+    let (first, rest) = trailer.split_at(trailer.len() / 3);
+    let (second, third) = rest.split_at(first.len());
+    for (copy_used, copy) in [first, second, third].iter().enumerate() {
         if let Some((raw, symbols_corrected)) = rs_index_decode(copy) {
             if let Ok(index) = parse_index(&raw, meta) {
                 if copy_used > 0 {
@@ -459,12 +456,11 @@ pub(crate) fn recover_index(
     // Bitwise triple-modular-redundancy vote: each output bit is the
     // majority of the three copies' bits, which repairs any damage that
     // never hits the same bit in two copies.
-    let voted: Vec<u8> = (0..copies[0].len())
-        .map(|i| {
-            (copies[0][i] & copies[1][i])
-                | (copies[0][i] & copies[2][i])
-                | (copies[1][i] & copies[2][i])
-        })
+    let voted: Vec<u8> = first
+        .iter()
+        .zip(second)
+        .zip(third)
+        .map(|((a, b), c)| (a & b) | (a & c) | (b & c))
         .collect();
     if let Some((raw, symbols_corrected)) = rs_index_decode(&voted) {
         if let Ok(index) = parse_index(&raw, meta) {
@@ -510,26 +506,12 @@ pub fn encode_sharded<S: EccScheme>(
         return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
     }
     let mut entries = Vec::with_capacity(data.len().div_ceil(shard_size.max(1)));
-    let mut offset = 0usize;
+    let mut payload_len = 0usize;
     for shard in data.chunks(shard_size) {
-        let encoded_len = codec.encoded_len(shard.len());
-        if encoded_len > u32::MAX as usize || shard.len() > u32::MAX as usize {
-            return Err(ArcError::InvalidRequest(format!(
-                "shard of {} bytes overflows the index's u32 length fields",
-                shard.len()
-            )));
-        }
-        entries.push(ShardEntry {
-            offset,
-            encoded_len,
-            decoded_len: shard.len(),
-            crc: crc32(shard),
-        });
-        offset = offset
-            .checked_add(encoded_len)
-            .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
+        let (entry, next) = shard_entry(payload_len, shard.len(), codec.encoded_len(shard.len()))?;
+        entries.push(ShardEntry { crc: crc32(shard), ..entry });
+        payload_len = next;
     }
-    let payload_len = offset;
     let index = rs_index_encode(&serialize_index(&entries))?;
     let meta = ContainerMeta {
         scheme_id: scheme_id.to_string(),
@@ -547,6 +529,26 @@ pub fn encode_sharded<S: EccScheme>(
         copy.copy_from_slice(&index);
     }
     Ok(out)
+}
+
+/// The index entry (CRC still 0) for a shard of `decoded_len` bytes encoded
+/// to `encoded_len` at payload `offset`, and the next shard's offset.
+/// Lengths that overflow the index's u32 fields or the payload's offsets
+/// are an [`ArcError::InvalidRequest`].
+pub(crate) fn shard_entry(
+    offset: usize,
+    decoded_len: usize,
+    encoded_len: usize,
+) -> Result<(ShardEntry, usize), ArcError> {
+    if encoded_len > u32::MAX as usize || decoded_len > u32::MAX as usize {
+        return Err(ArcError::InvalidRequest(format!(
+            "shard of {decoded_len} bytes overflows the index's u32 length fields"
+        )));
+    }
+    let next = offset
+        .checked_add(encoded_len)
+        .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
+    Ok((ShardEntry { offset, encoded_len, decoded_len, crc: 0 }, next))
 }
 
 /// Result of unpacking a container.
@@ -577,96 +579,305 @@ pub fn unpack(bytes: &[u8]) -> Result<Unpacked<'_>, ArcError> {
     if bytes.len() < 6 {
         return Err(ArcError::Corrupted("container shorter than its length prefix".into()));
     }
-    // Majority-vote the triplicated length field.
-    let lens: [u16; 3] = [le_u16(bytes, 0), le_u16(bytes, 2), le_u16(bytes, 4)];
+    let decoded = header_len_candidates(bytes)
+        .into_iter()
+        .find_map(|len| Some((6 + 2 * len, decode_header(bytes, len)?)));
+    let Some((payload_offset, header)) = decoded else {
+        return Err(ArcError::Corrupted("header unrecoverable in both copies".into()));
+    };
+    // decode_header only succeeds when both codewords are present.
+    let region = bytes.get(payload_offset..).unwrap_or_default();
+    let meta = header.meta;
+    let (payload, index, index_repair) = match meta.sharding {
+        None => {
+            // Final consistency check against the buffer we have.
+            if region.len() != meta.payload_len {
+                return Err(ArcError::Corrupted(format!(
+                    "payload region {} bytes but header declares {}",
+                    region.len(),
+                    meta.payload_len
+                )));
+            }
+            (region, None, IndexRepair::default())
+        }
+        Some(sh) => {
+            // v2: the region after the header is payload plus three index
+            // copies, and the total must match *exactly* — checked
+            // arithmetic so hostile header values (already RS-verified, but
+            // belt and braces) cannot wrap, and checked *before* any
+            // index-sized allocation so a corrupt length cannot demand
+            // memory.
+            let expect = sh.index_len.checked_mul(3).and_then(|i| meta.payload_len.checked_add(i));
+            if expect != Some(region.len()) {
+                return Err(match expect {
+                    None => ArcError::Corrupted("header: payload/index lengths overflow".into()),
+                    Some(_) => ArcError::Corrupted(format!(
+                        "sharded region {} bytes but header declares {} payload + 3×{} index",
+                        region.len(),
+                        meta.payload_len,
+                        sh.index_len
+                    )),
+                });
+            }
+            let (payload, trailer) = region.split_at(meta.payload_len);
+            let (index, repair) = recover_index(trailer, &meta)?;
+            (payload, Some(index), repair)
+        }
+    };
+    Ok(Unpacked {
+        meta,
+        payload,
+        payload_offset,
+        used_backup_header: header.used_backup,
+        header_symbols_corrected: header.symbols_corrected,
+        index,
+        index_repair,
+    })
+}
+
+/// The triplicated length-prefix vote, shared by [`unpack`] and the
+/// streaming decoder: the header-codeword lengths worth trying, shortest
+/// first. A 2-of-3 winner is the only candidate; with no majority every
+/// distinct value gets a chance. Lengths too short to hold a codeword are
+/// dropped.
+pub(crate) fn header_len_candidates(prefix: &[u8]) -> Vec<usize> {
+    let lens = [0, 2, 4].map(|pos| usize::from(u16::from_le_bytes(le(prefix, pos))));
     let voted = if lens[0] == lens[1] || lens[0] == lens[2] {
         lens[0]
     } else if lens[1] == lens[2] {
         lens[1]
     } else {
-        // No majority: try each in turn below.
         0
     };
-    let Ok(rs) = RsCodeword::new(HEADER_NSYM) else {
-        return Err(ArcError::Corrupted("header RS codeword unavailable".into()));
-    };
-    let try_len = |len: u16| -> Option<Unpacked<'_>> {
-        let len = len as usize;
-        if len <= HEADER_NSYM || bytes.len() < 6 + 2 * len {
-            return None;
-        }
-        let primary = &bytes[6..6 + len];
-        let backup = &bytes[6 + len..6 + 2 * len];
-        let payload = &bytes[6 + 2 * len..];
-        for (copy, used_backup) in [(primary, false), (backup, true)] {
-            if let Ok((header_bytes, fixed)) = rs.decode(copy) {
-                if let Ok(meta) = parse_header(&header_bytes) {
-                    return Some(Unpacked {
-                        meta,
-                        payload,
-                        payload_offset: 6 + 2 * len,
-                        used_backup_header: used_backup,
-                        header_symbols_corrected: fixed,
-                        index: None,
-                        index_repair: IndexRepair::default(),
-                    });
-                }
-            }
-        }
-        None
-    };
-    let candidates: Vec<u16> = if voted != 0 { vec![voted] } else { lens.to_vec() };
-    for len in candidates {
-        if let Some(mut u) = try_len(len) {
-            match u.meta.sharding {
-                None => {
-                    // Final consistency check against the buffer we have.
-                    if u.payload.len() != u.meta.payload_len {
-                        return Err(ArcError::Corrupted(format!(
-                            "payload region {} bytes but header declares {}",
-                            u.payload.len(),
-                            u.meta.payload_len
-                        )));
-                    }
-                }
-                Some(sh) => {
-                    // v2: the region after the header is payload plus three
-                    // index copies, and the total must match *exactly* —
-                    // checked arithmetic so hostile header values (already
-                    // RS-verified, but belt and braces) cannot wrap, and
-                    // checked *before* any index-sized allocation so a
-                    // corrupt length cannot demand memory.
-                    let expect =
-                        sh.index_len.checked_mul(3).and_then(|i| u.meta.payload_len.checked_add(i));
-                    let Some(expect) = expect else {
-                        return Err(ArcError::Corrupted(
-                            "header: payload/index lengths overflow".into(),
-                        ));
-                    };
-                    if u.payload.len() != expect {
-                        return Err(ArcError::Corrupted(format!(
-                            "sharded region {} bytes but header declares {} payload + 3×{} index",
-                            u.payload.len(),
-                            u.meta.payload_len,
-                            sh.index_len
-                        )));
-                    }
-                    let istart = u.payload_offset + u.meta.payload_len;
-                    let copies = [
-                        &bytes[istart..istart + sh.index_len],
-                        &bytes[istart + sh.index_len..istart + 2 * sh.index_len],
-                        &bytes[istart + 2 * sh.index_len..istart + 3 * sh.index_len],
-                    ];
-                    let (index, repair) = recover_index(copies, &u.meta)?;
-                    u.payload = &bytes[u.payload_offset..u.payload_offset + u.meta.payload_len];
-                    u.index = Some(index);
-                    u.index_repair = repair;
-                }
-            }
-            return Ok(u);
-        }
+    let mut candidates = if voted != 0 { vec![voted] } else { lens.to_vec() };
+    candidates.retain(|l| *l > HEADER_NSYM);
+    candidates.sort_unstable();
+    candidates.dedup();
+    candidates
+}
+
+/// A header recovered from one of its two codeword copies.
+pub(crate) struct Header {
+    pub(crate) meta: ContainerMeta,
+    /// True when the primary copy was unusable and the backup decoded.
+    pub(crate) used_backup: bool,
+    /// Header bytes repaired by the RS codeword.
+    pub(crate) symbols_corrected: usize,
+}
+
+/// Decode the two `len`-byte header codewords that follow the 6-byte
+/// length prefix at the start of `framing`: primary first, then backup.
+/// `None` when `framing` is too short to hold both or neither copy decodes
+/// to a valid header.
+pub(crate) fn decode_header(framing: &[u8], len: usize) -> Option<Header> {
+    let rs = RsCodeword::new(HEADER_NSYM).ok()?;
+    let (primary, backup) = framing.get(6..6 + 2 * len)?.split_at(len);
+    [(primary, false), (backup, true)].into_iter().find_map(|(copy, used_backup)| {
+        let (header_bytes, symbols_corrected) = rs.decode(copy).ok()?;
+        let meta = parse_header(&header_bytes).ok()?;
+        Some(Header { meta, used_backup, symbols_corrected })
+    })
+}
+
+/// Resolve `meta`'s scheme, build its codec, and check that the header's
+/// payload and index lengths are exactly what the encoder computes from
+/// `data_len` (and `shard_size`) under that codec. Every decode surface
+/// runs this once, before it reads or buffers anything the header
+/// promises, so a corrupt-but-decodable header can neither demand
+/// unbounded memory nor drive out-of-contract length arithmetic.
+pub(crate) fn open_codec(
+    meta: &ContainerMeta,
+    threads: usize,
+    registry: Option<&ExtensionRegistry>,
+) -> Result<SchemeCodec, ArcError> {
+    let scheme = resolve_scheme(&meta.scheme_id, registry)?;
+    // The original data is a subset of the ECC-encoded payload; bound it
+    // before the codec's length arithmetic can see it.
+    if meta.data_len > meta.payload_len {
+        return Err(ArcError::Corrupted(format!(
+            "declared data length {} exceeds payload length {}",
+            meta.data_len, meta.payload_len
+        )));
     }
-    Err(ArcError::Corrupted("header unrecoverable in both copies".into()))
+    let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
+    let Some(sh) = meta.sharding else {
+        if codec.encoded_len(meta.data_len) != meta.payload_len {
+            return Err(ArcError::Corrupted("payload length disagrees with data length".into()));
+        }
+        return Ok(codec);
+    };
+    if codec.sharded_encoded_len(meta.data_len, sh.shard_size) != meta.payload_len {
+        return Err(ArcError::Corrupted("payload length disagrees with shard geometry".into()));
+    }
+    let raw_len = meta.data_len.div_ceil(sh.shard_size).checked_mul(INDEX_ENTRY_BYTES);
+    if raw_len.and_then(|n| rs_index_len(n.checked_add(12)?)) != Some(sh.index_len) {
+        return Err(ArcError::Corrupted("index length disagrees with shard count".into()));
+    }
+    Ok(codec)
+}
+
+/// The one shard decode: check `e`'s geometry against the codec, repair
+/// `region` (exactly the shard's encoded bytes) in place, and, when
+/// `check_crc` is set, verify the repaired bytes against `e.crc`. On
+/// success `region[..e.decoded_len]` is the shard's original data.
+///
+/// A v1 payload is one synthetic shard whose CRC is the whole-data CRC.
+/// The streaming decoder alone passes `check_crc = false` for v2 shards,
+/// whose CRCs only arrive with the trailing index.
+pub(crate) fn decode_shard<S: EccScheme>(
+    codec: &ParallelCodec<S>,
+    region: &mut [u8],
+    e: &ShardEntry,
+    shard: usize,
+    check_crc: bool,
+) -> Result<CorrectionReport, ArcError> {
+    // The index is CRC+RS protected, so this is defense in depth against
+    // a forged entry, not a hot path.
+    if e.encoded_len != codec.encoded_len(e.decoded_len) {
+        return Err(ArcError::Corrupted(format!(
+            "shard {shard}: encoded length {} inconsistent with scheme (expected {})",
+            e.encoded_len,
+            codec.encoded_len(e.decoded_len)
+        )));
+    }
+    let report = codec.decode_shard_in_place(region, e.decoded_len)?;
+    if check_crc && region.get(..e.decoded_len).map(crc32) != Some(e.crc) {
+        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
+            scheme: codec.config().name(),
+            detail: format!("shard {shard}: end-to-end CRC mismatch after ECC decode"),
+        }));
+    }
+    Ok(report)
+}
+
+/// A container opened for decoding: header and index recovered by
+/// [`unpack`], codec built and lengths checked by [`open_codec`]. A v1
+/// payload becomes one synthetic shard carrying the whole-data CRC, so the
+/// one-shot, in-place and random-access decoders all walk `index` alike.
+pub(crate) struct Layout {
+    pub(crate) meta: ContainerMeta,
+    pub(crate) payload_offset: usize,
+    pub(crate) used_backup_header: bool,
+    pub(crate) header_symbols_corrected: usize,
+    /// How the shard index was recovered; `None` for v1 containers.
+    pub(crate) index_repair: Option<IndexRepair>,
+    pub(crate) index: ShardIndex,
+    pub(crate) codec: SchemeCodec,
+}
+
+impl Layout {
+    pub(crate) fn open(
+        bytes: &[u8],
+        threads: usize,
+        registry: Option<&ExtensionRegistry>,
+    ) -> Result<Layout, ArcError> {
+        let Unpacked {
+            meta,
+            payload_offset,
+            used_backup_header,
+            header_symbols_corrected,
+            index,
+            index_repair,
+            ..
+        } = unpack(bytes)?;
+        let codec = open_codec(&meta, threads, registry)?;
+        let (index, index_repair) = match index {
+            Some(index) => (index, Some(index_repair)),
+            None => {
+                let (encoded_len, decoded_len) = (meta.payload_len, meta.data_len);
+                let whole = ShardEntry { offset: 0, encoded_len, decoded_len, crc: meta.data_crc };
+                (ShardIndex { entries: vec![whole] }, None)
+            }
+        };
+        Ok(Layout {
+            meta,
+            payload_offset,
+            used_backup_header,
+            header_symbols_corrected,
+            index_repair,
+            index,
+            codec,
+        })
+    }
+
+    /// The full-decode body: repair every shard with [`decode_shard`],
+    /// leave the original data in `buf[..data_len]`, check the whole-data
+    /// CRC, and report what was repaired.
+    ///
+    /// With `src` set to the container's payload region, `buf` is scratch
+    /// of `data_len` plus the largest shard's parity, and each shard is
+    /// copied in right behind the data decoded so far. With `src` `None`, `buf` *is* the
+    /// payload region and each shard's encoded bytes move down in place;
+    /// the move is forward-safe because decoded lengths never exceed
+    /// encoded ones, and is skipped when nothing precedes the shard (v1).
+    pub(crate) fn decode_shards(
+        &self,
+        buf: &mut [u8],
+        src: Option<&[u8]>,
+    ) -> Result<ArcDecodeReport, ArcError> {
+        let mut correction = CorrectionReport::default();
+        let mut pos = 0usize;
+        for (i, e) in self.index.entries.iter().enumerate() {
+            let from = e.offset..e.offset + e.encoded_len;
+            let to = pos..pos + e.encoded_len;
+            let staged = match src {
+                Some(payload) => payload
+                    .get(from)
+                    .zip(buf.get_mut(to.clone()))
+                    .map(|(s, d)| d.copy_from_slice(s)),
+                None if from.start == pos => Some(()),
+                None => {
+                    (pos <= from.start && from.end <= buf.len()).then(|| buf.copy_within(from, pos))
+                }
+            };
+            let region = staged
+                .and_then(|()| buf.get_mut(to))
+                .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
+            correction.merge(&decode_shard(&self.codec, region, e, i, true)?);
+            pos += e.decoded_len;
+        }
+        // v1's single shard already checked the whole-data CRC.
+        if self.index_repair.is_some()
+            && buf.get(..self.meta.data_len).map(crc32) != Some(self.meta.data_crc)
+        {
+            return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
+                scheme: self.codec.config().name(),
+                detail: "end-to-end CRC mismatch after ECC decode".into(),
+            }));
+        }
+        Ok(ArcDecodeReport {
+            scheme_id: self.meta.scheme_id.clone(),
+            config: self.meta.builtin_config(),
+            correction,
+            used_backup_header: self.used_backup_header,
+            header_symbols_corrected: self.header_symbols_corrected,
+            index_repair: self.index_repair,
+        })
+    }
+}
+
+/// Allocate a monolithic v1 container for `data` and write its framing:
+/// the one place the v1 layout is assembled. Returns the buffer and the
+/// payload offset; the caller fills `out[offset..]` with `codec`'s
+/// encoding of `data`, whole or chunk by chunk.
+pub(crate) fn frame_monolithic<S: EccScheme>(
+    data: &[u8],
+    codec: &ParallelCodec<S>,
+    scheme_id: &str,
+) -> Result<(Vec<u8>, usize), ArcError> {
+    let meta = ContainerMeta {
+        scheme_id: scheme_id.to_string(),
+        chunk_size: codec.chunk_size(),
+        data_len: data.len(),
+        payload_len: codec.encoded_len(data.len()),
+        data_crc: crc32(data),
+        sharding: None,
+    };
+    let hlen = header_len(&meta);
+    // arc-lint: bounded(encode path; sized from the caller's own data, not decoded input)
+    let mut out = vec![0u8; hlen + meta.payload_len];
+    write_header(&meta, out.get_mut(..hlen).unwrap_or_default())?;
+    Ok((out, hlen))
 }
 
 /// Convenience: the container's end-to-end CRC of original data.

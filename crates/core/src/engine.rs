@@ -9,34 +9,28 @@
 //! Reed-Solomon data is a programming error worth catching loudly.
 
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
-use arc_ecc::{EccConfig, EccMethod, ParallelCodec};
+use arc_ecc::{EccConfig, EccMethod};
 
-use crate::container::{self, ContainerMeta};
+use crate::container;
 use crate::error::ArcError;
+use crate::extension::Scheme;
 use crate::interface::{decode_with_threads, ArcDecodeReport};
 
-/// Encode with an explicit configuration (the general engine entry point).
+/// Encode into a monolithic v1 container with an explicit scheme (the
+/// general engine entry point): a built-in [`EccConfig`] or a registered
+/// extension via [`crate::ExtensionRegistry::scheme`].
 ///
 /// `threads` accepts [`arc_ecc::parallel::ANY_THREADS`] (0) for "all
 /// available cores". Allocates the whole container — header prefix plus
 /// encoded payload — once and scatter-writes both regions in place.
 pub fn arc_engine_encode(
     data: &[u8],
-    config: EccConfig,
+    scheme: impl Into<Scheme>,
     threads: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let codec = ParallelCodec::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)?;
-    let meta = ContainerMeta {
-        scheme_id: config.id(),
-        chunk_size: DEFAULT_CHUNK_SIZE,
-        data_len: data.len(),
-        payload_len: codec.encoded_len(data.len()),
-        data_crc: container::data_crc(data),
-        sharding: None,
-    };
-    let hlen = container::header_len(&meta);
-    let mut out = vec![0u8; hlen + meta.payload_len];
-    container::write_header(&meta, &mut out[..hlen])?;
+    let scheme = scheme.into();
+    let codec = scheme.codec(threads, DEFAULT_CHUNK_SIZE)?;
+    let (mut out, hlen) = container::frame_monolithic(data, &codec, scheme.id())?;
     codec.encode_into(data, &mut out[hlen..]);
     Ok(out)
 }
@@ -51,31 +45,20 @@ pub fn arc_engine_decode(
 
 /// Encode into a v2 **sharded** container: each `shard_size`-byte slice of
 /// `data` is independently ECC'd and independently decodable, enabling
-/// [`arc_engine_decode_range`] / [`crate::reader::ArcReader`] to serve a
-/// byte range at per-shard cost. `arc_engine_encode` keeps producing
-/// monolithic v1 containers; both decode through the same entry points.
+/// [`crate::reader::ArcReader`] to serve a byte range at per-shard cost.
+/// Byte-identical to streaming the same data through
+/// [`crate::stream::StreamEncoder`] with the same scheme and shard size.
+/// `arc_engine_encode` keeps producing monolithic v1 containers; both
+/// decode through the same entry points.
 pub fn arc_engine_encode_sharded(
     data: &[u8],
-    config: EccConfig,
+    scheme: impl Into<Scheme>,
     threads: usize,
     shard_size: usize,
 ) -> Result<Vec<u8>, ArcError> {
-    let codec = ParallelCodec::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)?;
-    container::encode_sharded(data, &codec, &config.id(), shard_size)
-}
-
-/// Random-access decode: return `offset..offset + len` of the original
-/// data, touching only the shards that cover the range (v1 containers
-/// fall back to a single-shard full decode). Opens a fresh
-/// [`crate::reader::ArcReader`] per call; hold a reader for repeat reads.
-pub fn arc_engine_decode_range(
-    bytes: &[u8],
-    offset: usize,
-    len: usize,
-    threads: usize,
-) -> Result<(Vec<u8>, crate::reader::RangeReport), ArcError> {
-    let mut reader = crate::reader::ArcReader::open(bytes, threads)?;
-    reader.decode_range(offset, len)
+    let scheme = scheme.into();
+    let codec = scheme.codec(threads, DEFAULT_CHUNK_SIZE)?;
+    container::encode_sharded(data, &codec, scheme.id(), shard_size)
 }
 
 fn decode_expecting(

@@ -11,14 +11,15 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use arc_core::extension::{decode_with_registry, encode_with_scheme, ExtensionRegistry};
+//! use arc_core::extension::{decode_with_registry, ExtensionRegistry};
+//! use arc_core::arc_engine_encode;
 //! use arc_ecc::Replication;
 //!
 //! let mut registry = ExtensionRegistry::new();
 //! registry.register("tmr", Arc::new(Replication::tmr())).unwrap();
 //!
 //! let data = vec![7u8; 10_000];
-//! let encoded = encode_with_scheme(&data, &registry, "tmr", 2).unwrap();
+//! let encoded = arc_engine_encode(&data, registry.scheme("tmr").unwrap(), 2).unwrap();
 //! let (decoded, report) = decode_with_registry(&encoded, 2, &registry).unwrap();
 //! assert_eq!(decoded, data);
 //! assert_eq!(report.scheme_id, "x:tmr");
@@ -31,7 +32,7 @@ use arc_ecc::parallel::{timed_decode, timed_encode, DEFAULT_CHUNK_SIZE};
 use arc_ecc::uep::{uep_sz, uep_zfp};
 use arc_ecc::{Bch, Capability, EccConfig, EccScheme, Interleaved, ParallelCodec, RsBlock};
 
-use crate::container::{self, ContainerMeta};
+use crate::container::SchemeCodec;
 use crate::error::ArcError;
 use crate::interface::ArcDecodeReport;
 
@@ -92,11 +93,56 @@ impl ExtensionRegistry {
         scheme_id.strip_prefix(CUSTOM_PREFIX).and_then(|n| self.get(n))
     }
 
+    /// The encode handle for the scheme registered under `name`; its
+    /// containers are tagged `x:<name>`.
+    pub fn scheme(&self, name: &str) -> Result<Scheme, ArcError> {
+        let ecc = self.get(name).ok_or_else(|| {
+            ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
+        })?;
+        Ok(Scheme { id: format!("{CUSTOM_PREFIX}{name}"), ecc })
+    }
+
     /// Registered names, sorted.
     pub fn ids(&self) -> Vec<String> {
         let mut v: Vec<String> = self.schemes.keys().cloned().collect();
         v.sort();
         v
+    }
+}
+
+/// An ECC scheme to encode with, paired with the id its containers carry:
+/// a built-in [`EccConfig`] (`From<EccConfig>`) or a registered extension
+/// ([`ExtensionRegistry::scheme`]). Every encode entry point —
+/// [`crate::arc_engine_encode`], [`crate::arc_engine_encode_sharded`],
+/// [`crate::stream::StreamEncoder::new`] — takes one, so built-ins and
+/// extensions share a single path.
+#[derive(Clone)]
+pub struct Scheme {
+    id: String,
+    pub(crate) ecc: Arc<dyn EccScheme>,
+}
+
+impl Scheme {
+    /// The id written into the container header (`"rs:223:32"`, `"x:bch"`).
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
+    /// A codec running this scheme on `threads` workers.
+    pub(crate) fn codec(&self, threads: usize, chunk_size: usize) -> Result<SchemeCodec, ArcError> {
+        Ok(ParallelCodec::with_chunk_size(Arc::clone(&self.ecc), threads, chunk_size)?)
+    }
+}
+
+impl From<EccConfig> for Scheme {
+    fn from(config: EccConfig) -> Scheme {
+        Scheme { id: config.id(), ecc: Arc::new(config) }
+    }
+}
+
+impl std::fmt::Debug for Scheme {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Scheme").field(&self.id).finish()
     }
 }
 
@@ -144,59 +190,6 @@ pub(crate) fn resolve_scheme(
     }
 }
 
-/// Encode `data` with the registered scheme `name`, producing a standard
-/// ARC container tagged `x:<name>`.
-///
-/// `threads` accepts `arc_ecc::parallel::ANY_THREADS` (0) for "all
-/// available cores". Allocates the whole container once; the scheme's
-/// parity is scatter-written in place (via the scheme's
-/// `encode_parity_into`, or its `encode_parity` fallback for schemes that
-/// only implement the allocating form).
-pub fn encode_with_scheme(
-    data: &[u8],
-    registry: &ExtensionRegistry,
-    name: &str,
-    threads: usize,
-) -> Result<Vec<u8>, ArcError> {
-    let scheme = registry.get(name).ok_or_else(|| {
-        ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
-    })?;
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
-    let meta = ContainerMeta {
-        scheme_id: format!("{CUSTOM_PREFIX}{name}"),
-        chunk_size: DEFAULT_CHUNK_SIZE,
-        data_len: data.len(),
-        payload_len: codec.encoded_len(data.len()),
-        data_crc: container::data_crc(data),
-        sharding: None,
-    };
-    let hlen = container::header_len(&meta);
-    let mut out = vec![0u8; hlen + meta.payload_len];
-    container::write_header(&meta, &mut out[..hlen])?;
-    codec.encode_into(data, &mut out[hlen..]);
-    Ok(out)
-}
-
-/// Encode `data` with the registered scheme `name` into a v2 **sharded**
-/// container tagged `x:<name>` — the random-access layout that
-/// [`crate::reader::ArcReader`] serves `decode_range` from and
-/// [`crate::stream::StreamEncoder`] produces incrementally. Byte-identical
-/// to streaming the same data through `StreamEncoder` with the same scheme
-/// and shard size.
-pub fn encode_sharded_with_scheme(
-    data: &[u8],
-    registry: &ExtensionRegistry,
-    name: &str,
-    threads: usize,
-    shard_size: usize,
-) -> Result<Vec<u8>, ArcError> {
-    let scheme = registry.get(name).ok_or_else(|| {
-        ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
-    })?;
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, DEFAULT_CHUNK_SIZE)?;
-    container::encode_sharded(data, &codec, &format!("{CUSTOM_PREFIX}{name}"), shard_size)
-}
-
 /// Decode any ARC container, resolving extension ids against `registry`
 /// (built-in ids decode as usual).
 pub fn decode_with_registry(
@@ -204,62 +197,7 @@ pub fn decode_with_registry(
     threads: usize,
     registry: &ExtensionRegistry,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
-    let unpacked = container::unpack(bytes)?;
-    let meta = &unpacked.meta;
-    if let Some(config) = meta.builtin_config() {
-        let _ = config;
-        return crate::interface::decode_with_threads(bytes, threads);
-    }
-    let scheme = registry.resolve_id(&meta.scheme_id).ok_or_else(|| {
-        ArcError::InvalidRequest(format!(
-            "container scheme {:?} is not registered in this registry",
-            meta.scheme_id
-        ))
-    })?;
-    // Bound data_len by the real payload before any codec length
-    // arithmetic can see it (see interface::decode_with_threads).
-    if meta.data_len > unpacked.payload.len() {
-        return Err(ArcError::Corrupted(format!(
-            "declared data length {} exceeds payload length {}",
-            meta.data_len,
-            unpacked.payload.len()
-        )));
-    }
-    let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
-    // v2 sharded extension containers decode through the exact same
-    // shard-walk as built-ins (geometry check, per-shard decode, per-shard
-    // CRC); v1 containers take the mono path.
-    let (data, correction) = match &unpacked.index {
-        Some(index) => crate::interface::decode_sharded_payload(
-            &codec,
-            unpacked.payload,
-            index,
-            meta.data_len,
-        )?,
-        None => {
-            let mut data = unpacked.payload.to_vec();
-            let correction = codec.decode_in_place(&mut data, meta.data_len)?;
-            data.truncate(meta.data_len);
-            (data, correction)
-        }
-    };
-    if container::data_crc(&data) != meta.data_crc {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: "custom",
-            detail: "end-to-end CRC mismatch after ECC decode".into(),
-        }));
-    }
-    Ok((
-        data,
-        ArcDecodeReport {
-            scheme_id: meta.scheme_id.clone(),
-            config: None,
-            correction,
-            used_backup_header: unpacked.used_backup_header,
-            header_symbols_corrected: unpacked.header_symbols_corrected,
-            index_repair: unpacked.index.as_ref().map(|_| unpacked.index_repair),
-        },
-    ))
+    crate::interface::decode_full(bytes, threads, Some(registry))
 }
 
 /// One measured point for the storage/resiliency/throughput study: a
@@ -391,7 +329,7 @@ mod tests {
     fn custom_scheme_round_trips_through_container() {
         let r = registry();
         let data: Vec<u8> = (0..50_000).map(|i| (i % 251) as u8).collect();
-        let enc = encode_with_scheme(&data, &r, "tmr", 2).unwrap();
+        let enc = crate::arc_engine_encode(&data, r.scheme("tmr").unwrap(), 2).unwrap();
         // TMR triples the storage (plus container framing).
         assert!(enc.len() > data.len() * 3 - 64);
         let (out, report) = decode_with_registry(&enc, 2, &r).unwrap();
@@ -404,7 +342,7 @@ mod tests {
     fn custom_scheme_corrects_a_burst() {
         let r = registry();
         let data: Vec<u8> = (0..30_000).map(|i| (i % 13) as u8).collect();
-        let mut enc = encode_with_scheme(&data, &r, "tmr", 1).unwrap();
+        let mut enc = crate::arc_engine_encode(&data, r.scheme("tmr").unwrap(), 1).unwrap();
         let start = enc.len() / 2;
         for b in &mut enc[start..start + 4_000] {
             *b ^= 0xFF;
@@ -418,7 +356,7 @@ mod tests {
     fn missing_registration_is_reported() {
         let r = registry();
         let data = vec![1u8; 1000];
-        let enc = encode_with_scheme(&data, &r, "tmr", 1).unwrap();
+        let enc = crate::arc_engine_encode(&data, r.scheme("tmr").unwrap(), 1).unwrap();
         let empty = ExtensionRegistry::new();
         assert!(matches!(decode_with_registry(&enc, 1, &empty), Err(ArcError::InvalidRequest(_))));
         // The registry-less decode path refuses custom containers politely.
@@ -449,7 +387,8 @@ mod tests {
         let r = standard_extensions().unwrap();
         let data: Vec<u8> = (0..200_000).map(|i| ((i * 31) ^ (i >> 8)) as u8).collect();
         for name in r.ids() {
-            let enc = encode_sharded_with_scheme(&data, &r, &name, 2, 64 * 1024).unwrap();
+            let scheme = r.scheme(&name).unwrap();
+            let enc = crate::arc_engine_encode_sharded(&data, scheme, 2, 64 * 1024).unwrap();
             let (out, report) = decode_with_registry(&enc, 2, &r).unwrap();
             assert_eq!(out, data, "{name}");
             assert_eq!(report.scheme_id, format!("x:{name}"));
@@ -461,7 +400,8 @@ mod tests {
     fn sharded_extension_corrects_a_burst() {
         let r = standard_extensions().unwrap();
         let data: Vec<u8> = (0..150_000).map(|i| (i % 241) as u8).collect();
-        let mut enc = encode_sharded_with_scheme(&data, &r, "ileave-rs", 2, 64 * 1024).unwrap();
+        let scheme = r.scheme("ileave-rs").unwrap();
+        let mut enc = crate::arc_engine_encode_sharded(&data, scheme, 2, 64 * 1024).unwrap();
         // A 200-byte burst in the middle of the payload: well beyond bare
         // RS(223|32)'s 16-per-codeword budget, absorbed by 64-lane
         // interleaving.
@@ -498,7 +438,7 @@ mod tests {
     fn two_copy_mirror_detects_but_cannot_fix_double_damage() {
         let r = registry();
         let data = vec![0x42u8; 8_192];
-        let mut enc = encode_with_scheme(&data, &r, "mirror", 1).unwrap();
+        let mut enc = crate::arc_engine_encode(&data, r.scheme("mirror").unwrap(), 1).unwrap();
         // Damage both the primary and the replica region of the payload.
         let payload_start = 200; // past the protected header
         enc[payload_start] ^= 0x01;

@@ -17,11 +17,12 @@ use parking_lot::RwLock;
 
 use arc_ecc::codec::CorrectionReport;
 use arc_ecc::parallel::DEFAULT_CHUNK_SIZE;
-use arc_ecc::{EccConfig, EccScheme, ParallelCodec};
+use arc_ecc::{EccConfig, ParallelCodec};
 
 use crate::constraints::EncodeRequest;
-use crate::container::{self, ContainerMeta};
+use crate::container::{self, Layout};
 use crate::error::ArcError;
+use crate::extension::ExtensionRegistry;
 use crate::optimizer::{joint_optimizer, Selection};
 use crate::training::{train, TrainingOptions, TrainingStats, TrainingTable};
 
@@ -185,18 +186,7 @@ impl ArcContext {
         let cap = self.max_threads.max(1);
         let threads = if threads == ANY_THREADS { cap } else { threads.min(cap) };
         let codec = ParallelCodec::with_chunk_size(config, threads, self.chunk_size)?;
-        let meta = ContainerMeta {
-            scheme_id: config.id(),
-            chunk_size: self.chunk_size,
-            data_len: data.len(),
-            payload_len: codec.encoded_len(data.len()),
-            data_crc: container::data_crc(data),
-            sharding: None,
-        };
-        let hlen = container::header_len(&meta);
-        // arc-lint: bounded(encode path; sized from the caller's own payload, not decoded input)
-        let mut out = vec![0u8; hlen + meta.payload_len];
-        container::write_header(&meta, &mut out[..hlen])?;
+        let (mut out, hlen) = container::frame_monolithic(data, &codec, &config.id())?;
         let t0 = std::time::Instant::now();
         codec.encode_into(data, &mut out[hlen..]);
         let seconds = t0.elapsed().as_secs_f64();
@@ -217,7 +207,7 @@ impl ArcContext {
     /// As [`ArcContext::encode`], but producing a v2 **sharded** container
     /// at [`container::DEFAULT_SHARD_SIZE`]: the optimizer picks the
     /// scheme, and the result supports random access via
-    /// [`ArcContext::decode_range`] / [`crate::reader::ArcReader`].
+    /// [`crate::reader::ArcReader`].
     pub fn encode_sharded(
         &self,
         data: &[u8],
@@ -254,24 +244,6 @@ impl ArcContext {
     /// byte array — or raise when the damage is uncorrectable (Fig 7b).
     pub fn decode(&self, bytes: &[u8]) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
         decode_with_threads(bytes, self.max_threads)
-    }
-
-    /// Random-access `arc_decode()`: decode only `offset..offset + len` of
-    /// the original data, touching (and ECC-verifying) exactly the shards
-    /// that cover the range. Works on v2 sharded containers at per-shard
-    /// cost and on v1 containers as a single-shard full decode.
-    ///
-    /// Each call opens a fresh [`crate::reader::ArcReader`]; callers
-    /// issuing many reads against one container should hold their own
-    /// reader, whose LRU shard cache makes repeat reads cheap.
-    pub fn decode_range(
-        &self,
-        bytes: &[u8],
-        offset: usize,
-        len: usize,
-    ) -> Result<(Vec<u8>, crate::reader::RangeReport), ArcError> {
-        let mut reader = crate::reader::ArcReader::open(bytes, self.max_threads)?;
-        reader.decode_range(offset, len)
     }
 
     /// Zero-copy `arc_decode()`: repair the container's payload where it
@@ -313,217 +285,55 @@ impl Drop for ArcContext {
 
 /// Standalone decode (the container is self-describing, so decoding needs
 /// no trained context — only a thread budget; [`ANY_THREADS`] uses every
-/// core).
+/// core). Built-in scheme ids only; extension containers decode through
+/// [`crate::extension::decode_with_registry`].
 ///
-/// Copies the payload out of the borrowed container exactly once and
-/// repairs it in place; use [`decode_in_place_with_threads`] to skip even
-/// that copy when the container buffer is owned and expendable.
+/// Copies each shard out of the borrowed container once and repairs it in
+/// place; use [`decode_in_place_with_threads`] to skip even that copy when
+/// the container buffer is owned and expendable.
 pub fn decode_with_threads(
     bytes: &[u8],
     threads: usize,
 ) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
+    decode_full(bytes, threads, None)
+}
+
+/// The one-shot decode body behind [`decode_with_threads`] and
+/// [`crate::extension::decode_with_registry`]: stage every shard into one
+/// fresh buffer, repair it there, and check the data end to end.
+pub(crate) fn decode_full(
+    bytes: &[u8],
+    threads: usize,
+    registry: Option<&ExtensionRegistry>,
+) -> Result<(Vec<u8>, ArcDecodeReport), ArcError> {
     let _span = arc_telemetry::span("core.decode");
-    let unpacked = container::unpack(bytes)?;
-    let meta = &unpacked.meta;
-    let config = meta.builtin_config().ok_or_else(|| {
-        ArcError::InvalidRequest(format!(
-            "container uses extension scheme {:?}; decode it with \
-             arc_core::extension::decode_with_registry",
-            meta.scheme_id
-        ))
-    })?;
-    // The original data is a subset of the ECC-encoded payload; a corrupt
-    // data_len that slipped past the header codeword must not reach the
-    // codec's length arithmetic.
-    if meta.data_len > unpacked.payload.len() {
-        return Err(ArcError::Corrupted(format!(
-            "declared data length {} exceeds payload length {}",
-            meta.data_len,
-            unpacked.payload.len()
-        )));
-    }
-    let codec = ParallelCodec::with_chunk_size(config, threads, meta.chunk_size)?;
-    let (data, correction) = match &unpacked.index {
-        Some(index) => decode_sharded_payload(&codec, unpacked.payload, index, meta.data_len)?,
-        None => {
-            let mut data = unpacked.payload.to_vec();
-            let correction = codec.decode_in_place(&mut data, meta.data_len)?;
-            data.truncate(meta.data_len);
-            (data, correction)
-        }
-    };
-    if container::data_crc(&data) != meta.data_crc {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: config.name(),
-            detail: "end-to-end CRC mismatch after ECC decode".into(),
-        }));
-    }
-    Ok((
-        data,
-        ArcDecodeReport {
-            scheme_id: meta.scheme_id.clone(),
-            config: Some(config),
-            correction,
-            used_backup_header: unpacked.used_backup_header,
-            header_symbols_corrected: unpacked.header_symbols_corrected,
-            index_repair: unpacked.index.as_ref().map(|_| unpacked.index_repair),
-        },
-    ))
-}
-
-/// Decode every shard of a v2 payload into a fresh buffer, verifying each
-/// shard's own CRC as it lands. The index has already been RS-verified,
-/// but the per-shard geometry is still cross-checked against the codec so
-/// a forged index can never drive out-of-contract length arithmetic.
-///
-/// Generic over the scheme so extension registries
-/// ([`crate::extension::decode_with_registry`]) share the exact same
-/// sharded-decode semantics as built-ins.
-pub(crate) fn decode_sharded_payload<S: EccScheme>(
-    codec: &ParallelCodec<S>,
-    payload: &[u8],
-    index: &container::ShardIndex,
-    data_len: usize,
-) -> Result<(Vec<u8>, CorrectionReport), ArcError> {
-    // arc-lint: bounded(data_len <= unpacked.payload.len() checked by both callers)
-    let mut data = vec![0u8; data_len];
-    let mut merged = CorrectionReport::default();
-    let mut scratch: Vec<u8> = Vec::new();
-    let mut out_pos = 0usize;
-    for (i, e) in index.entries.iter().enumerate() {
-        check_shard_geometry(codec, e, i)?;
-        let region = payload
-            .get(e.offset..e.offset + e.encoded_len)
-            .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
-        scratch.clear();
-        scratch.extend_from_slice(region);
-        let report = codec.decode_shard_in_place(&mut scratch, e.decoded_len)?;
-        verify_shard_crc(codec, &scratch[..e.decoded_len], e.crc, i)?;
-        data[out_pos..out_pos + e.decoded_len].copy_from_slice(&scratch[..e.decoded_len]);
-        out_pos += e.decoded_len;
-        merged.merge(&report);
-    }
-    Ok((data, merged))
-}
-
-/// A shard entry whose encoded length disagrees with the scheme's own
-/// arithmetic is corrupt (the index is CRC+RS protected, so this is
-/// defense in depth, not a hot path).
-pub(crate) fn check_shard_geometry<S: EccScheme>(
-    codec: &ParallelCodec<S>,
-    e: &container::ShardEntry,
-    shard: usize,
-) -> Result<(), ArcError> {
-    if e.encoded_len != codec.encoded_len(e.decoded_len) {
-        return Err(ArcError::Corrupted(format!(
-            "shard {shard}: encoded length {} inconsistent with scheme (expected {})",
-            e.encoded_len,
-            codec.encoded_len(e.decoded_len)
-        )));
-    }
-    Ok(())
-}
-
-/// Per-shard end-to-end check, the sharded analogue of the whole-data CRC.
-pub(crate) fn verify_shard_crc<S: EccScheme>(
-    codec: &ParallelCodec<S>,
-    decoded: &[u8],
-    expect: u32,
-    shard: usize,
-) -> Result<(), ArcError> {
-    if container::data_crc(decoded) != expect {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: codec.config().name(),
-            detail: format!("shard {shard}: end-to-end CRC mismatch after ECC decode"),
-        }));
-    }
-    Ok(())
+    let layout = Layout::open(bytes, threads, registry)?;
+    let entries = &layout.index.entries;
+    let parity = entries.iter().map(|e| e.encoded_len.saturating_sub(e.decoded_len)).max();
+    // arc-lint: bounded(data_len plus one shard's parity <= payload_len, matched by unpack to the bytes present)
+    let mut data = vec![0u8; layout.meta.data_len + parity.unwrap_or(0)];
+    let report = layout.decode_shards(&mut data, bytes.get(layout.payload_offset..))?;
+    data.truncate(layout.meta.data_len);
+    Ok((data, report))
 }
 
 /// Zero-copy standalone decode: verify and repair the container's payload
 /// where it lies inside `bytes`, returning the range of `bytes` that holds
 /// the repaired original data alongside the usual report.
 ///
-/// On the clean path nothing is copied or moved — the data bytes are
-/// exactly where the encoder scatter-wrote them. On error the payload
-/// region's contents are unspecified.
+/// On the clean path of a v1 container nothing is copied or moved — the
+/// data bytes are exactly where the encoder scatter-wrote them; a v2
+/// container's shards are compacted toward the header. On error the
+/// payload region's contents are unspecified.
 pub fn decode_in_place_with_threads(
     bytes: &mut [u8],
     threads: usize,
 ) -> Result<(std::ops::Range<usize>, ArcDecodeReport), ArcError> {
     let _span = arc_telemetry::span("core.decode");
-    let (meta, payload_offset, used_backup_header, header_symbols_corrected, index, index_repair) = {
-        let unpacked = container::unpack(bytes)?;
-        (
-            unpacked.meta,
-            unpacked.payload_offset,
-            unpacked.used_backup_header,
-            unpacked.header_symbols_corrected,
-            unpacked.index,
-            unpacked.index_repair,
-        )
-    };
-    let config = meta.builtin_config().ok_or_else(|| {
-        ArcError::InvalidRequest(format!(
-            "container uses extension scheme {:?}; decode it with \
-             arc_core::extension::decode_with_registry",
-            meta.scheme_id
-        ))
-    })?;
-    // See decode_with_threads: bound data_len by the real payload before
-    // any codec length arithmetic can see it.
-    if meta.data_len > bytes.len() - payload_offset {
-        return Err(ArcError::Corrupted(format!(
-            "declared data length {} exceeds payload length {}",
-            meta.data_len,
-            bytes.len() - payload_offset
-        )));
-    }
-    let codec = ParallelCodec::with_chunk_size(config, threads, meta.chunk_size)?;
-    let correction = match &index {
-        Some(index) => {
-            // v2: repair every shard where it lies, then compact the
-            // decoded prefixes left so the original data ends up
-            // contiguous right after the header. Each destination start
-            // never exceeds its source start (decoded ≤ encoded bytes,
-            // cumulatively), so the overlapping copies are forward-safe.
-            let payload = &mut bytes[payload_offset..payload_offset + meta.payload_len];
-            let mut merged = CorrectionReport::default();
-            let mut out_pos = 0usize;
-            for (i, e) in index.entries.iter().enumerate() {
-                check_shard_geometry(&codec, e, i)?;
-                let region = &mut payload[e.offset..e.offset + e.encoded_len];
-                let report = codec.decode_shard_in_place(region, e.decoded_len)?;
-                verify_shard_crc(&codec, &region[..e.decoded_len], e.crc, i)?;
-                payload.copy_within(e.offset..e.offset + e.decoded_len, out_pos);
-                out_pos += e.decoded_len;
-                merged.merge(&report);
-            }
-            merged
-        }
-        None => {
-            let payload = &mut bytes[payload_offset..];
-            codec.decode_in_place(payload, meta.data_len)?
-        }
-    };
-    let data = &bytes[payload_offset..payload_offset + meta.data_len];
-    if container::data_crc(data) != meta.data_crc {
-        return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
-            scheme: config.name(),
-            detail: "end-to-end CRC mismatch after ECC decode".into(),
-        }));
-    }
-    Ok((
-        payload_offset..payload_offset + meta.data_len,
-        ArcDecodeReport {
-            scheme_id: meta.scheme_id,
-            config: Some(config),
-            correction,
-            used_backup_header,
-            header_symbols_corrected,
-            index_repair: index.as_ref().map(|_| index_repair),
-        },
-    ))
+    let layout = Layout::open(bytes, threads, None)?;
+    let start = layout.payload_offset;
+    let report = layout.decode_shards(bytes.get_mut(start..).unwrap_or_default(), None)?;
+    Ok((start..start + layout.meta.data_len, report))
 }
 
 #[cfg(test)]

@@ -17,15 +17,12 @@
 //! the cache).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use arc_ecc::codec::CorrectionReport;
-use arc_ecc::{EccScheme, ParallelCodec};
 
-use crate::container::{self, ContainerMeta, IndexRepair, ShardEntry};
+use crate::container::{self, ContainerMeta, IndexRepair, Layout};
 use crate::error::ArcError;
-use crate::extension::{self, ExtensionRegistry};
-use crate::interface::{check_shard_geometry, verify_shard_crc};
+use crate::extension::ExtensionRegistry;
 
 /// Default shard-cache capacity (64 MiB of decoded shards).
 pub const DEFAULT_CACHE_CAPACITY: usize = 64 << 20;
@@ -117,13 +114,14 @@ impl ShardCache {
             return;
         }
         self.tick += 1;
-        if let Some((_, old)) = self.slots.insert(shard, (self.tick, data.clone())) {
+        let len = data.len();
+        if let Some((_, old)) = self.slots.insert(shard, (self.tick, data)) {
             // Re-inserting an evicted-then-decoded shard is the common
             // case; replacing a live one only happens if the caller races
             // itself, but keep the byte accounting exact regardless.
             self.resident -= old.len();
         }
-        self.resident += data.len();
+        self.resident += len;
         while self.resident > self.capacity {
             let victim = self
                 .slots
@@ -159,23 +157,18 @@ impl ShardCache {
 /// multiple readers for concurrent access.
 pub struct ArcReader<'a> {
     bytes: &'a [u8],
-    meta: ContainerMeta,
-    entries: Vec<ShardEntry>,
+    layout: Layout,
     starts: Vec<usize>,
-    payload_offset: usize,
-    codec: ParallelCodec<Arc<dyn EccScheme>>,
     cache: ShardCache,
-    index_repair: IndexRepair,
-    sharded: bool,
 }
 
 impl std::fmt::Debug for ArcReader<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ArcReader")
-            .field("scheme_id", &self.meta.scheme_id)
-            .field("data_len", &self.meta.data_len)
-            .field("shards", &self.entries.len())
-            .field("sharded", &self.sharded)
+            .field("scheme_id", &self.layout.meta.scheme_id)
+            .field("data_len", &self.layout.meta.data_len)
+            .field("shards", &self.shard_count())
+            .field("sharded", &self.is_sharded())
             .finish()
     }
 }
@@ -190,10 +183,9 @@ impl<'a> ArcReader<'a> {
     }
 
     /// As [`ArcReader::open`], additionally resolving extension scheme ids
-    /// (`x:<name>`) against `registry`, so v2 containers produced by
-    /// [`crate::extension::encode_sharded_with_scheme`] (or a
-    /// registry-backed [`crate::stream::StreamEncoder`]) serve
-    /// `decode_range` exactly like built-ins.
+    /// (`x:<name>`) against `registry`, so containers encoded with an
+    /// [`ExtensionRegistry::scheme`] handle serve `decode_range` exactly
+    /// like built-ins.
     pub fn open_with_registry(
         bytes: &'a [u8],
         threads: usize,
@@ -218,77 +210,34 @@ impl<'a> ArcReader<'a> {
         capacity: usize,
         registry: Option<&ExtensionRegistry>,
     ) -> Result<ArcReader<'a>, ArcError> {
-        let unpacked = container::unpack(bytes)?;
-        let meta = unpacked.meta;
-        let scheme = extension::resolve_scheme(&meta.scheme_id, registry)?;
-        if meta.data_len > unpacked.payload.len() {
-            return Err(ArcError::Corrupted(format!(
-                "declared data length {} exceeds payload length {}",
-                meta.data_len,
-                unpacked.payload.len()
-            )));
-        }
-        let codec = ParallelCodec::with_chunk_size(scheme, threads, meta.chunk_size)?;
-        let (entries, sharded) = match unpacked.index {
-            Some(index) => (index.entries, true),
-            None => {
-                // v1 fallback: one synthetic shard spanning the payload,
-                // end-to-end-checked by the container's whole-data CRC.
-                let entries = if meta.data_len == 0 && meta.payload_len == 0 {
-                    Vec::new()
-                } else {
-                    vec![ShardEntry {
-                        offset: 0,
-                        encoded_len: meta.payload_len,
-                        decoded_len: meta.data_len,
-                        crc: meta.data_crc,
-                    }]
-                };
-                (entries, false)
-            }
-        };
-        let mut starts = Vec::with_capacity(entries.len());
-        let mut pos = 0usize;
-        for e in &entries {
-            starts.push(pos);
-            pos += e.decoded_len;
-        }
-        Ok(ArcReader {
-            bytes,
-            index_repair: unpacked.index_repair,
-            payload_offset: unpacked.payload_offset,
-            meta,
-            entries,
-            starts,
-            codec,
-            cache: ShardCache::new(capacity),
-            sharded,
-        })
+        let layout = Layout::open(bytes, threads, registry)?;
+        let starts = layout.index.decoded_starts();
+        Ok(ArcReader { bytes, layout, starts, cache: ShardCache::new(capacity) })
     }
 
     /// The container's parsed header.
     pub fn meta(&self) -> &ContainerMeta {
-        &self.meta
+        &self.layout.meta
     }
 
     /// Original data length in bytes.
     pub fn data_len(&self) -> usize {
-        self.meta.data_len
+        self.layout.meta.data_len
     }
 
     /// Number of independently decodable shards (1 for v1 containers).
     pub fn shard_count(&self) -> usize {
-        self.entries.len()
+        self.layout.index.shard_count()
     }
 
     /// True for v2 sharded containers, false for the v1 fallback.
     pub fn is_sharded(&self) -> bool {
-        self.sharded
+        self.layout.index_repair.is_some()
     }
 
     /// How the shard index was recovered at open (all-zero for v1).
     pub fn index_repair(&self) -> IndexRepair {
-        self.index_repair
+        self.layout.index_repair.unwrap_or_default()
     }
 
     /// Cache counters so far.
@@ -312,10 +261,11 @@ impl<'a> ArcReader<'a> {
         let end = offset
             .checked_add(len)
             .ok_or_else(|| ArcError::InvalidRequest("range end overflows".into()))?;
-        if end > self.meta.data_len {
+        let entries = &self.layout.index.entries;
+        if end > self.layout.meta.data_len {
             return Err(ArcError::InvalidRequest(format!(
                 "range {offset}..{end} exceeds data length {}",
-                self.meta.data_len
+                self.layout.meta.data_len
             )));
         }
         // arc-lint: bounded(len is the caller's request, validated against the container extent above)
@@ -326,8 +276,8 @@ impl<'a> ArcReader<'a> {
         }
         // First covering shard: the last one starting at or before offset.
         let mut i = self.starts.partition_point(|s| *s <= offset).saturating_sub(1);
-        while i < self.entries.len() && out.len() < len {
-            let e = self.entries[i];
+        while i < entries.len() && out.len() < len {
+            let e = entries[i];
             let start = self.starts[i];
             // Overlap of [offset, end) with this shard, in shard-local bytes.
             let lo = offset.max(start) - start;
@@ -336,7 +286,16 @@ impl<'a> ArcReader<'a> {
             if self.cache.copy_range(i, lo, hi, &mut out) {
                 report.cache_hits += 1;
             } else {
-                let (decoded, correction) = self.decode_shard(i, &e)?;
+                let at = self.layout.payload_offset + e.offset;
+                let region = self.bytes.get(at..at + e.encoded_len).ok_or_else(|| {
+                    ArcError::Corrupted(format!("shard {i}: region exceeds payload"))
+                })?;
+                let mut decoded = region.to_vec();
+                let correction =
+                    container::decode_shard(&self.layout.codec, &mut decoded, &e, i, true)?;
+                // The cache keeps this buffer: drop the parity tail's capacity.
+                decoded.truncate(e.decoded_len);
+                decoded.shrink_to_fit();
                 out.extend_from_slice(&decoded[lo..hi]);
                 report.encoded_bytes_decoded += e.encoded_len;
                 report.correction.merge(&correction);
@@ -350,27 +309,6 @@ impl<'a> ArcReader<'a> {
             report.encoded_bytes_decoded as u64,
         );
         Ok((out, report))
-    }
-
-    /// Decode one shard out of the borrowed container into a fresh buffer,
-    /// repairing and CRC-verifying it.
-    fn decode_shard(
-        &self,
-        i: usize,
-        e: &ShardEntry,
-    ) -> Result<(Vec<u8>, CorrectionReport), ArcError> {
-        if self.sharded {
-            check_shard_geometry(&self.codec, e, i)?;
-        }
-        let payload = &self.bytes[self.payload_offset..self.payload_offset + self.meta.payload_len];
-        let region = payload
-            .get(e.offset..e.offset + e.encoded_len)
-            .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
-        let mut buf = region.to_vec();
-        let correction = self.codec.decode_shard_in_place(&mut buf, e.decoded_len)?;
-        buf.truncate(e.decoded_len);
-        verify_shard_crc(&self.codec, &buf, e.crc, i)?;
-        Ok((buf, correction))
     }
 }
 
@@ -475,8 +413,7 @@ mod tests {
     fn extension_container_serves_ranges_with_registry() {
         let r = crate::extension::standard_extensions().unwrap();
         let data = sample(100_000);
-        let enc =
-            crate::extension::encode_sharded_with_scheme(&data, &r, "bch", 1, 16 << 10).unwrap();
+        let enc = arc_engine_encode_sharded(&data, r.scheme("bch").unwrap(), 1, 16 << 10).unwrap();
         // Registry-less open refuses with a pointer to the registry entry
         // point rather than decoding garbage.
         assert!(matches!(ArcReader::open(&enc, 1), Err(ArcError::InvalidRequest(_))));
@@ -494,8 +431,8 @@ mod tests {
         let mut enc = v2(&data, 8 << 10);
         let reader = ArcReader::open(&enc, 1).unwrap();
         // Flip one bit inside shard 3's encoded region.
-        let e = reader.entries[3];
-        let off = reader.payload_offset + e.offset + 100;
+        let e = reader.layout.index.entries[3];
+        let off = reader.layout.payload_offset + e.offset + 100;
         drop(reader);
         enc[off] ^= 0x04;
         let mut reader = ArcReader::open(&enc, 1).unwrap();
@@ -509,8 +446,8 @@ mod tests {
         let data = sample(64 << 10);
         let mut enc = v2(&data, 8 << 10);
         let reader = ArcReader::open(&enc, 1).unwrap();
-        let e = reader.entries[2];
-        let start = reader.payload_offset + e.offset;
+        let e = reader.layout.index.entries[2];
+        let start = reader.layout.payload_offset + e.offset;
         drop(reader);
         // Trash half of shard 2 — way beyond SEC-DED's power.
         for b in &mut enc[start + 1_000..start + 4_000] {

@@ -30,15 +30,14 @@ use std::thread;
 
 use arc_ecc::crc::{crc32, Crc32};
 use arc_ecc::parallel::{resolve_threads, DEFAULT_CHUNK_SIZE};
-use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec, RsCodeword};
+use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec};
 use rayon::prelude::*;
 
 use crate::container::{
-    self, ContainerMeta, IndexRepair, ShardEntry, ShardingMeta, DEFAULT_SHARD_SIZE, HEADER_NSYM,
-    INDEX_ENTRY_BYTES, INDEX_NSYM,
+    self, ContainerMeta, IndexRepair, SchemeCodec, ShardEntry, ShardingMeta, DEFAULT_SHARD_SIZE,
 };
 use crate::error::ArcError;
-use crate::extension::{self, ExtensionRegistry};
+use crate::extension::{ExtensionRegistry, Scheme};
 use crate::interface::{decode_with_threads, ArcDecodeReport};
 
 /// Positional byte sink for streaming encode output.
@@ -233,7 +232,7 @@ pub struct StreamEncoder<S: StreamSink> {
     /// Sequential codec for geometry (and inline encode when `workers`
     /// is 0). Runs the scheme behind an `Arc` so built-ins and extension
     /// schemes share one code path.
-    codec: ParallelCodec<Arc<dyn EccScheme>>,
+    codec: SchemeCodec,
     shard_size: usize,
     ring_cap: usize,
     workers: usize,
@@ -252,48 +251,25 @@ pub struct StreamEncoder<S: StreamSink> {
 }
 
 impl<S: StreamSink> StreamEncoder<S> {
-    /// Start a streaming encode into `sink` with a built-in scheme.
-    pub fn new(sink: S, config: EccConfig, opts: StreamOptions) -> Result<Self, ArcError> {
-        let scheme_id = config.id();
-        Self::with_scheme(sink, Arc::new(config), scheme_id, opts)
-    }
-
-    /// Start a streaming encode with the extension scheme registered under
-    /// `name`. The finished container is tagged `x:<name>` and is
-    /// byte-identical to
-    /// [`crate::extension::encode_sharded_with_scheme`] over the
-    /// concatenated pushes.
-    pub fn with_registry_scheme(
-        sink: S,
-        registry: &ExtensionRegistry,
-        name: &str,
-        opts: StreamOptions,
-    ) -> Result<Self, ArcError> {
-        let scheme = registry.get(name).ok_or_else(|| {
-            ArcError::InvalidRequest(format!("no extension scheme named {name:?} registered"))
-        })?;
-        let scheme_id = format!("{}{name}", extension::CUSTOM_PREFIX);
-        Self::with_scheme(sink, scheme, scheme_id, opts)
-    }
-
-    fn with_scheme(
-        sink: S,
-        scheme: Arc<dyn EccScheme>,
-        scheme_id: String,
-        opts: StreamOptions,
-    ) -> Result<Self, ArcError> {
+    /// Start a streaming encode into `sink` with `scheme`: a built-in
+    /// [`EccConfig`] or a registered extension
+    /// ([`ExtensionRegistry::scheme`]). The finished container is
+    /// byte-identical to [`crate::arc_engine_encode_sharded`] with the same
+    /// scheme and shard size over the concatenated pushes.
+    pub fn new(sink: S, scheme: impl Into<Scheme>, opts: StreamOptions) -> Result<Self, ArcError> {
+        let scheme = scheme.into();
         if opts.shard_size == 0 {
             return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
         }
         if opts.ring == 0 {
             return Err(ArcError::InvalidRequest("ring capacity must be >= 1".into()));
         }
-        let codec = ParallelCodec::with_chunk_size(Arc::clone(&scheme), 1, opts.chunk_size)?;
+        let codec = scheme.codec(1, opts.chunk_size)?;
         // The header length is a pure function of the scheme id and the
         // sharded flag, so the payload region can start before any length
         // field is known; `finish` back-patches the real header at 0.
         let meta = ContainerMeta {
-            scheme_id: scheme_id.clone(),
+            scheme_id: scheme.id().to_string(),
             chunk_size: opts.chunk_size,
             data_len: 0,
             payload_len: 0,
@@ -303,14 +279,14 @@ impl<S: StreamSink> StreamEncoder<S> {
         let hlen = container::header_len(&meta);
         let workers = resolve_threads(opts.threads);
         let ring = if workers > 1 {
-            Some(Ring::start(scheme, opts.chunk_size, workers.min(opts.ring))?)
+            Some(Ring::start(Arc::clone(&scheme.ecc), opts.chunk_size, workers.min(opts.ring))?)
         } else {
             None
         };
         let workers = ring.as_ref().map(|r| r.handles.len()).unwrap_or(0);
         Ok(StreamEncoder {
             sink,
-            scheme_id,
+            scheme_id: meta.scheme_id,
             codec,
             shard_size: opts.shard_size,
             ring_cap: opts.ring,
@@ -396,19 +372,11 @@ impl<S: StreamSink> StreamEncoder<S> {
     /// Returns `(offset, encoded_len)`.
     fn reserve_entry(&mut self, decoded_len: usize) -> Result<(usize, usize), ArcError> {
         let encoded_len = self.codec.encoded_len(decoded_len);
-        if encoded_len > u32::MAX as usize || decoded_len > u32::MAX as usize {
-            return Err(ArcError::InvalidRequest(format!(
-                "shard of {decoded_len} bytes overflows the index's u32 length fields"
-            )));
-        }
-        let offset = self.payload_pos;
-        self.payload_pos = offset
-            .checked_add(encoded_len)
-            .ok_or_else(|| ArcError::InvalidRequest("payload length overflows".into()))?;
+        let (entry, next) = container::shard_entry(self.payload_pos, decoded_len, encoded_len)?;
         // The CRC slot is filled when the shard's encode completes.
-        self.entries.push(ShardEntry { offset, encoded_len, decoded_len, crc: 0 });
+        self.entries.push(entry);
         arc_telemetry::counter_add("stream.encode.shards", 1);
-        Ok((offset, encoded_len))
+        Ok((std::mem::replace(&mut self.payload_pos, next), encoded_len))
     }
 
     /// Back-pressure: reap completed shards until the ring has a free slot.
@@ -566,12 +534,11 @@ enum Phase {
     /// Buffering header codewords; `candidates` holds plausible lengths,
     /// smallest first.
     Header,
-    /// Buffering the current shard's encoded region.
+    /// Buffering the current shard's encoded region (a v1 payload is one
+    /// synthetic shard).
     Shards,
     /// Buffering the three index copies.
     Trailer,
-    /// Buffering a monolithic v1 payload.
-    MonoBody,
     /// Container complete; any further byte is an error.
     Done,
 }
@@ -583,7 +550,8 @@ enum Phase {
 /// the trailing index is verified *after* emission, so a caller that needs
 /// end-to-end certainty must wait for [`StreamDecoder::finish`], which
 /// cross-checks the recovered index against the streamed geometry and the
-/// header's whole-data CRC. Monolithic v1 containers are supported with
+/// header's whole-data CRC. Monolithic v1 containers are decoded as one
+/// synthetic shard checked against the whole-data CRC before emission, with
 /// O(payload) buffering (their format permits nothing better).
 ///
 /// ```
@@ -612,8 +580,8 @@ pub struct StreamDecoder {
     phase: Phase,
     buf: Vec<u8>,
     candidates: Vec<usize>,
-    meta: Option<ContainerMeta>,
-    codec: Option<ParallelCodec<Arc<dyn EccScheme>>>,
+    /// The accepted header and the codec it resolved to.
+    header: Option<(ContainerMeta, SchemeCodec)>,
     used_backup_header: bool,
     header_symbols_corrected: usize,
     computed: Vec<ShardEntry>,
@@ -646,8 +614,7 @@ impl StreamDecoder {
             phase: Phase::Prefix,
             buf: Vec::new(),
             candidates: Vec::new(),
-            meta: None,
-            codec: None,
+            header: None,
             used_backup_header: false,
             header_symbols_corrected: 0,
             computed: Vec::new(),
@@ -662,8 +629,8 @@ impl StreamDecoder {
 
     /// As [`StreamDecoder::with_threads`], additionally resolving
     /// extension scheme ids (`x:<name>`) against `registry`, so containers
-    /// produced by [`StreamEncoder::with_registry_scheme`] (or the one-shot
-    /// extension encoders) stream-decode like built-ins.
+    /// encoded with an [`ExtensionRegistry::scheme`] handle stream-decode
+    /// like built-ins.
     pub fn with_registry(threads: usize, registry: ExtensionRegistry) -> Self {
         StreamDecoder { registry: Some(registry), ..Self::with_threads(threads) }
     }
@@ -675,13 +642,9 @@ impl StreamDecoder {
         if self.failed {
             return Err(ArcError::Corrupted("stream decoder previously failed".into()));
         }
-        match self.consume(bytes, out) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.failed = true;
-                Err(e)
-            }
-        }
+        let result = self.consume(bytes, out);
+        self.failed = result.is_err();
+        result
     }
 
     /// Declare the stream complete and return the summary.
@@ -692,16 +655,16 @@ impl StreamDecoder {
         if !matches!(self.phase, Phase::Done) {
             return Err(ArcError::Corrupted("container truncated: stream ended early".into()));
         }
-        let meta = self
-            .meta
+        let (meta, _) = self
+            .header
             .ok_or_else(|| ArcError::Corrupted("stream decoder lost its header".into()))?;
-        if meta.sharding.is_some() && self.out_crc.finalize() != meta.data_crc {
+        if self.out_crc.finalize() != meta.data_crc {
             return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
         }
         Ok(StreamDecodeStats {
+            shards: meta.sharding.map_or(0, |_| self.computed.len()),
             scheme_id: meta.scheme_id,
             data_len: meta.data_len,
-            shards: self.computed.len(),
             correction: self.correction,
             used_backup_header: self.used_backup_header,
             header_symbols_corrected: self.header_symbols_corrected,
@@ -720,11 +683,8 @@ impl StreamDecoder {
                     6 + 2 * len
                 }
                 Phase::Shards => self.cur_shard_geometry()?.1,
-                Phase::Trailer => {
-                    let sh = self.sharding()?;
-                    3 * sh.index_len
-                }
-                Phase::MonoBody => self.meta_ref()?.payload_len,
+                // Only v2 headers lead here; consume buffers exactly this.
+                Phase::Trailer => 3 * self.header()?.0.sharding.map_or(0, |sh| sh.index_len),
                 Phase::Done => {
                     return Err(ArcError::Corrupted("bytes after container end".into()));
                 }
@@ -736,14 +696,19 @@ impl StreamDecoder {
                 continue;
             }
             match self.phase {
-                Phase::Prefix => self.begin_header()?,
-                Phase::Header => self.try_header(out)?,
+                Phase::Prefix => {
+                    self.candidates = container::header_len_candidates(&self.buf);
+                    if self.candidates.is_empty() {
+                        return Err(ArcError::Corrupted("no plausible header length".into()));
+                    }
+                    self.phase = Phase::Header;
+                }
+                Phase::Header => self.try_header()?,
                 Phase::Shards => {
                     let (dlen, elen) = self.cur_shard_geometry()?;
                     self.complete_shard(dlen, elen, out)?;
                 }
                 Phase::Trailer => self.complete_trailer()?,
-                Phase::MonoBody => self.complete_mono(out)?,
                 Phase::Done => {
                     return Err(ArcError::Corrupted("bytes after container end".into()));
                 }
@@ -752,156 +717,53 @@ impl StreamDecoder {
         Ok(())
     }
 
-    fn meta_ref(&self) -> Result<&ContainerMeta, ArcError> {
-        self.meta
+    fn header(&self) -> Result<&(ContainerMeta, SchemeCodec), ArcError> {
+        self.header
             .as_ref()
             .ok_or_else(|| ArcError::Corrupted("stream decoder lost its header".into()))
     }
 
-    fn sharding(&self) -> Result<ShardingMeta, ArcError> {
-        self.meta_ref()?
-            .sharding
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its shard geometry".into()))
-    }
-
-    fn codec_ref(&self) -> Result<&ParallelCodec<Arc<dyn EccScheme>>, ArcError> {
-        self.codec
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))
-    }
-
     /// Decoded/encoded length of the shard currently being buffered.
     fn cur_shard_geometry(&self) -> Result<(usize, usize), ArcError> {
-        let meta = self.meta_ref()?;
-        let sh = self.sharding()?;
+        let (meta, codec) = self.header()?;
         let remaining = meta.data_len.saturating_sub(self.decoded_so_far);
-        let dlen = remaining.min(sh.shard_size);
+        let dlen = meta.sharding.map_or(remaining, |sh| remaining.min(sh.shard_size));
         if dlen == 0 {
             return Err(ArcError::Corrupted("shard phase with no data remaining".into()));
         }
-        Ok((dlen, self.codec_ref()?.encoded_len(dlen)))
-    }
-
-    /// Majority-vote the 6-byte length prefix into an ordered candidate
-    /// list, exactly mirroring [`container::unpack`]: a 2-of-3 winner is
-    /// the only candidate; with no majority every distinct value gets a
-    /// chance, cheapest (shortest) first so a 1-byte drip does O(1) work
-    /// per byte between the at-most-three parse attempts.
-    fn begin_header(&mut self) -> Result<(), ArcError> {
-        let lens = [
-            container::le_u16(&self.buf, 0) as usize,
-            container::le_u16(&self.buf, 2) as usize,
-            container::le_u16(&self.buf, 4) as usize,
-        ];
-        let voted = if lens[0] == lens[1] || lens[0] == lens[2] {
-            lens[0]
-        } else if lens[1] == lens[2] {
-            lens[1]
-        } else {
-            0
-        };
-        let mut candidates = if voted != 0 { vec![voted] } else { lens.to_vec() };
-        candidates.retain(|l| *l > HEADER_NSYM);
-        candidates.sort_unstable();
-        candidates.dedup();
-        if candidates.is_empty() {
-            return Err(ArcError::Corrupted("no plausible header length".into()));
-        }
-        self.candidates = candidates;
-        self.phase = Phase::Header;
-        Ok(())
+        Ok((dlen, codec.encoded_len(dlen)))
     }
 
     /// The buffer holds both codeword copies for the current length
-    /// candidate: attempt primary then backup. Failure discards this
-    /// candidate and keeps buffering toward the next (longer) one.
-    fn try_header(&mut self, out: &mut Vec<u8>) -> Result<(), ArcError> {
+    /// candidate (shortest first, so a 1-byte drip does O(1) work per byte
+    /// between the at-most-three attempts). Failure discards this candidate
+    /// and keeps buffering toward the next (longer) one. An accepted
+    /// header's lengths are checked against its codec before anything it
+    /// promises is buffered.
+    fn try_header(&mut self) -> Result<(), ArcError> {
         let len = self
             .candidates
             .first()
             .copied()
             .ok_or_else(|| ArcError::Corrupted("header unrecoverable in both copies".into()))?;
-        let Ok(rs) = RsCodeword::new(HEADER_NSYM) else {
-            return Err(ArcError::Corrupted("header RS codeword unavailable".into()));
+        let Some(header) = container::decode_header(&self.buf, len) else {
+            self.candidates.remove(0);
+            if self.candidates.is_empty() {
+                return Err(ArcError::Corrupted("header unrecoverable in both copies".into()));
+            }
+            return Ok(());
         };
-        let primary = &self.buf[6..6 + len];
-        let backup = &self.buf[6 + len..6 + 2 * len];
-        let mut accepted = None;
-        for (copy, used_backup) in [(primary, false), (backup, true)] {
-            if let Ok((header_bytes, fixed)) = rs.decode(copy) {
-                if let Ok(meta) = container::parse_header(&header_bytes) {
-                    accepted = Some((meta, used_backup, fixed));
-                    break;
-                }
-            }
-        }
-        match accepted {
-            Some((meta, used_backup, fixed)) => {
-                self.used_backup_header = used_backup;
-                self.header_symbols_corrected = fixed;
-                self.accept_header(meta, out)
-            }
-            None => {
-                self.candidates.remove(0);
-                if self.candidates.is_empty() {
-                    return Err(ArcError::Corrupted("header unrecoverable in both copies".into()));
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Validate the decoded header's geometry before buffering anything it
-    /// promises: the payload and index lengths must be the pure functions
-    /// of (`data_len`, `shard_size`, `chunk_size`) the encoder computes,
-    /// so a corrupt-but-decodable header cannot demand unbounded memory.
-    fn accept_header(&mut self, meta: ContainerMeta, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let scheme = extension::resolve_scheme(&meta.scheme_id, self.registry.as_ref())?;
-        let codec = ParallelCodec::with_chunk_size(scheme, self.threads, meta.chunk_size)?;
-        match meta.sharding {
-            Some(sh) => {
-                if codec.sharded_encoded_len(meta.data_len, sh.shard_size) != meta.payload_len {
-                    return Err(ArcError::Corrupted(
-                        "payload length disagrees with shard geometry".into(),
-                    ));
-                }
-                let shards = meta.data_len.div_ceil(sh.shard_size);
-                let raw_len = shards
-                    .checked_mul(INDEX_ENTRY_BYTES)
-                    .and_then(|n| n.checked_add(12))
-                    .ok_or_else(|| ArcError::Corrupted("shard count overflows".into()))?;
-                let Ok(rs) = RsCodeword::new(INDEX_NSYM) else {
-                    return Err(ArcError::Corrupted("index RS codeword unavailable".into()));
-                };
-                let expect_index = raw_len
-                    .div_ceil(rs.max_message_len())
-                    .checked_mul(INDEX_NSYM)
-                    .and_then(|p| p.checked_add(raw_len))
-                    .ok_or_else(|| ArcError::Corrupted("index length overflows".into()))?;
-                if expect_index != sh.index_len {
-                    return Err(ArcError::Corrupted(
-                        "index length disagrees with shard count".into(),
-                    ));
-                }
-                self.phase = if shards == 0 { Phase::Trailer } else { Phase::Shards };
-            }
-            None => {
-                if codec.encoded_len(meta.data_len) != meta.payload_len {
-                    return Err(ArcError::Corrupted(
-                        "payload length disagrees with data length".into(),
-                    ));
-                }
-                self.phase = Phase::MonoBody;
-            }
-        }
-        let mono_empty = meta.sharding.is_none() && meta.payload_len == 0;
-        self.meta = Some(meta);
-        self.codec = Some(codec);
+        let meta = header.meta;
+        let codec = container::open_codec(&meta, self.threads, self.registry.as_ref())?;
+        self.phase = match (meta.data_len, meta.sharding) {
+            (0, Some(_)) => Phase::Trailer,
+            (0, None) => Phase::Done,
+            _ => Phase::Shards,
+        };
+        self.used_backup_header = header.used_backup;
+        self.header_symbols_corrected = header.symbols_corrected;
+        self.header = Some((meta, codec));
         self.buf.clear();
-        if mono_empty {
-            // Zero-length v1 body: nothing further will arrive for it.
-            self.complete_mono(out)?;
-        }
         Ok(())
     }
 
@@ -911,32 +773,35 @@ impl StreamDecoder {
         elen: usize,
         out: &mut Vec<u8>,
     ) -> Result<(), ArcError> {
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))?;
-        let report = codec.decode_shard_in_place(&mut self.buf, dlen)?;
+        let Some((meta, codec)) = &self.header else {
+            return Err(ArcError::Corrupted("stream decoder lost its header".into()));
+        };
+        let (offset, crc) = (self.payload_pos, meta.data_crc);
+        let entry = ShardEntry { offset, encoded_len: elen, decoded_len: dlen, crc };
+        // A v1 payload is one synthetic shard carrying the whole-data CRC;
+        // a v2 shard's CRC only arrives with the trailing index.
+        let v1 = meta.sharding.is_none();
+        let report =
+            container::decode_shard(codec, &mut self.buf, &entry, self.computed.len(), v1)?;
         self.correction.merge(&report);
-        let shard = &self.buf[..dlen];
+        let shard = self
+            .buf
+            .get(..dlen)
+            .ok_or_else(|| ArcError::Corrupted("shard buffer mis-sized".into()))?;
         let crc = crc32(shard);
         self.out_crc.update(shard);
         out.extend_from_slice(shard);
         arc_telemetry::counter_add("stream.decode.shards", 1);
         arc_telemetry::counter_add("stream.decode.bytes", dlen as u64);
-        self.computed.push(ShardEntry {
-            offset: self.payload_pos,
-            encoded_len: elen,
-            decoded_len: dlen,
-            crc,
-        });
+        self.computed.push(ShardEntry { crc, ..entry });
         self.payload_pos = self
             .payload_pos
             .checked_add(elen)
             .ok_or_else(|| ArcError::Corrupted("payload offsets overflow".into()))?;
         self.decoded_so_far += dlen;
         self.buf.clear();
-        if self.decoded_so_far == self.meta_ref()?.data_len {
-            self.phase = Phase::Trailer;
+        if self.decoded_so_far == meta.data_len {
+            self.phase = if meta.sharding.is_some() { Phase::Trailer } else { Phase::Done };
         }
         Ok(())
     }
@@ -946,41 +811,13 @@ impl StreamDecoder {
     /// CRCs of the shards actually streamed — the late end-to-end check
     /// that backs the early plaintext emission.
     fn complete_trailer(&mut self) -> Result<(), ArcError> {
-        let sh = self.sharding()?;
-        let ilen = sh.index_len;
-        if self.buf.len() != 3 * ilen {
-            return Err(ArcError::Corrupted("index trailer mis-sized".into()));
-        }
-        let (index, repair) = {
-            let copies =
-                [&self.buf[..ilen], &self.buf[ilen..2 * ilen], &self.buf[2 * ilen..3 * ilen]];
-            container::recover_index(copies, self.meta_ref()?)?
-        };
+        let (index, repair) = container::recover_index(&self.buf, &self.header()?.0)?;
         if index.entries != self.computed {
             return Err(ArcError::Corrupted(
                 "recovered index disagrees with streamed shards".into(),
             ));
         }
         self.index_repair = repair;
-        self.buf.clear();
-        self.phase = Phase::Done;
-        Ok(())
-    }
-
-    fn complete_mono(&mut self, out: &mut Vec<u8>) -> Result<(), ArcError> {
-        let data_len = self.meta_ref()?.data_len;
-        let codec = self
-            .codec
-            .as_ref()
-            .ok_or_else(|| ArcError::Corrupted("stream decoder lost its codec".into()))?;
-        let report = codec.decode_in_place(&mut self.buf, data_len)?;
-        self.correction.merge(&report);
-        let data = &self.buf[..data_len];
-        if crc32(data) != self.meta_ref()?.data_crc {
-            return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
-        }
-        out.extend_from_slice(data);
-        arc_telemetry::counter_add("stream.decode.bytes", data_len as u64);
         self.buf.clear();
         self.phase = Phase::Done;
         Ok(())
@@ -1017,27 +854,15 @@ pub fn encode_batch(
     let total: usize = requests.iter().map(|d| d.len()).sum();
     arc_telemetry::counter_add("stream.batch.requests", requests.len() as u64);
     arc_telemetry::counter_add("stream.batch.bytes", total as u64);
-    let mut outs = Vec::with_capacity(requests.len());
-    let mut hlens = Vec::with_capacity(requests.len());
-    for data in requests {
-        let meta = ContainerMeta {
-            scheme_id: config.id(),
-            chunk_size: codec.chunk_size(),
-            data_len: data.len(),
-            payload_len: codec.encoded_len(data.len()),
-            data_crc: container::data_crc(data),
-            sharding: None,
-        };
-        let hlen = container::header_len(&meta);
-        let mut out = vec![0u8; hlen + meta.payload_len];
-        container::write_header(&meta, &mut out[..hlen])?;
-        hlens.push(hlen);
-        outs.push(out);
-    }
+    let scheme_id = config.id();
+    let mut outs = requests
+        .iter()
+        .map(|data| container::frame_monolithic(data, &codec, &scheme_id))
+        .collect::<Result<Vec<_>, _>>()?;
     // One flat chunk-job list across every request, same shape as
     // `ParallelCodec::encode_sharded_into`'s shard flattening.
     let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> = Vec::new();
-    for ((data, out), hlen) in requests.iter().zip(outs.iter_mut()).zip(&hlens) {
+    for (data, (out, hlen)) in requests.iter().zip(outs.iter_mut()) {
         let region = &mut out[*hlen..];
         let (mut data_rest, mut parity_rest) = region.split_at_mut(data.len());
         for chunk in data.chunks(codec.chunk_size()) {
@@ -1052,18 +877,26 @@ pub fn encode_batch(
         dst.copy_from_slice(src);
         config.encode_parity_into(src, parity);
     };
-    let workers = batch_workers(&config, threads, total);
-    if workers > 1 && jobs.len() > 1 {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .thread_name(|i| format!("arc-batch-{i}"))
-            .build()
-            .map_err(|e| ArcError::Io(format!("thread pool: {e}")))?;
-        pool.install(|| jobs.par_iter_mut().for_each(run));
-    } else {
-        jobs.iter_mut().for_each(run);
+    run_batch(&mut jobs, batch_workers(&config, threads, total), run);
+    Ok(outs.into_iter().map(|(out, _)| out).collect())
+}
+
+/// Run `run` over every job on a fresh `workers`-thread pool, or inline
+/// when one worker (or one job) suffices or no pool can be built.
+fn run_batch<T: Send>(jobs: &mut [T], workers: usize, run: impl Fn(&mut T) + Send + Sync) {
+    let pool = (workers > 1 && jobs.len() > 1)
+        .then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .thread_name(|i| format!("arc-batch-{i}"))
+                .build()
+                .ok()
+        })
+        .flatten();
+    match pool {
+        Some(pool) => pool.install(|| jobs.par_iter_mut().for_each(run)),
+        None => jobs.iter_mut().for_each(run),
     }
-    Ok(outs)
 }
 
 /// Per-container outcome of [`decode_batch`]: the decoded bytes and report,
@@ -1078,30 +911,12 @@ type DecodeOutcome = Result<(Vec<u8>, ArcDecodeReport), ArcError>;
 pub fn decode_batch(containers: &[&[u8]], threads: usize) -> Vec<DecodeOutcome> {
     let _span = arc_telemetry::span("stream.decode_batch");
     arc_telemetry::counter_add("stream.batch.requests", containers.len() as u64);
-    let workers = resolve_threads(threads).min(containers.len()).max(1);
-    let mut slots: Vec<Option<DecodeOutcome>> = Vec::new();
-    slots.resize_with(containers.len(), || None);
-    let mut jobs: Vec<(&[u8], &mut Option<DecodeOutcome>)> =
-        containers.iter().copied().zip(slots.iter_mut()).collect();
-    let run = |(bytes, slot): &mut (&[u8], &mut Option<_>)| {
-        **slot = Some(decode_with_threads(bytes, 1));
-    };
-    let pool = if workers > 1 {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(workers)
-            .thread_name(|i| format!("arc-batch-{i}"))
-            .build()
-            .ok()
-    } else {
-        None
-    };
-    match pool {
-        Some(pool) => pool.install(|| jobs.par_iter_mut().for_each(run)),
-        None => jobs.iter_mut().for_each(run),
-    }
-    slots
-        .into_iter()
-        .map(|s| s.unwrap_or_else(|| Err(ArcError::Io("batch slot unfilled".into()))))
+    let mut jobs: Vec<(&[u8], Option<DecodeOutcome>)> =
+        containers.iter().map(|bytes| (*bytes, None)).collect();
+    let run = |(bytes, slot): &mut (&[u8], Option<_>)| *slot = Some(decode_with_threads(bytes, 1));
+    run_batch(&mut jobs, resolve_threads(threads).min(containers.len()), run);
+    jobs.into_iter()
+        .map(|(_, s)| s.unwrap_or_else(|| Err(ArcError::Io("batch slot unfilled".into()))))
         .collect()
 }
 
@@ -1230,23 +1045,23 @@ mod tests {
         let r = crate::extension::standard_extensions().unwrap();
         let data = sample(60_000);
         let opts = StreamOptions { shard_size: 16 << 10, ..StreamOptions::default() };
-        let mut enc = StreamEncoder::with_registry_scheme(Vec::new(), &r, "ileave-rs", opts)
-            .expect("registry encoder");
+        let scheme = r.scheme("ileave-rs").unwrap();
+        let mut enc =
+            StreamEncoder::new(Vec::new(), scheme.clone(), opts).expect("registry encoder");
         for piece in data.chunks(1234) {
             enc.push(piece).unwrap();
         }
         let (got, stats) = enc.finish().unwrap();
         let one_shot =
-            crate::extension::encode_sharded_with_scheme(&data, &r, "ileave-rs", 1, 16 << 10)
-                .unwrap();
+            crate::engine::arc_engine_encode_sharded(&data, scheme.clone(), 1, 16 << 10).unwrap();
         assert_eq!(got, one_shot, "streamed container must match the one-shot bytes");
         assert_eq!(stats.shards, data.len().div_ceil(16 << 10));
 
         // The threaded ring runs the same scheme behind its `Arc` and must
         // produce the same bytes.
         let threaded = StreamOptions { threads: 2, ring: 2, ..opts };
-        let mut enc = StreamEncoder::with_registry_scheme(Vec::new(), &r, "ileave-rs", threaded)
-            .expect("threaded registry encoder");
+        let mut enc =
+            StreamEncoder::new(Vec::new(), scheme, threaded).expect("threaded registry encoder");
         enc.push(&data).unwrap();
         let (got_threaded, _) = enc.finish().unwrap();
         assert_eq!(got_threaded, one_shot);

@@ -720,9 +720,10 @@ pub fn builtin_targets() -> Vec<DecodeTarget> {
     let mut ext_streams: Vec<(String, GoldenStream)> = Vec::new();
     if let Ok(registry) = arc_core::standard_extensions() {
         for name in registry.ids() {
-            let Ok(bytes) =
-                arc_core::encode_sharded_with_scheme(&ext_payload, &registry, &name, 1, 4096)
-            else {
+            let encoded = registry
+                .scheme(&name)
+                .and_then(|s| arc_core::arc_engine_encode_sharded(&ext_payload, s, 1, 4096));
+            let Ok(bytes) = encoded else {
                 continue;
             };
             let (header_len, trailer_len) = arc_core::container::unpack(&bytes)

@@ -124,6 +124,16 @@ fn every_hostile_decode_target_is_a_declared_root() {
         ("dec.push", "StreamDecoder::push", "arc_core::stream::StreamDecoder::push"),
         ("dec.finish", "StreamDecoder::finish", "arc_core::stream::StreamDecoder::finish"),
         ("arc_core::container::unpack", "container::unpack", "arc_core::container::unpack"),
+        (
+            "arc_core::decode_with_registry",
+            "extension::decode_with_registry",
+            "arc_core::extension::decode_with_registry",
+        ),
+        (
+            "arc_core::ArcReader::open_with_registry",
+            "ArcReader::open_with_registry",
+            "arc_core::reader::ArcReader::open_with_registry",
+        ),
     ];
 
     let root = workspace_root();

@@ -82,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     registry.register("ilsecded", std::sync::Arc::new(arc_ecc::InterleavedSecDed::new(512)?))?;
     let _ = EccConfig::secded(true); // (built-ins remain available alongside)
     let encoded =
-        arc::core::encode_with_scheme(&checkpoint, &registry, "ilsecded", ctx.max_threads())?;
+        arc::core::arc_engine_encode(&checkpoint, registry.scheme("ilsecded")?, ctx.max_threads())?;
     let mut struck = encoded.clone();
     let summary = storm(&mut struck, 40, &FaultMix::hopper_like(), 0xF00D);
     let outcome = match arc::core::decode_with_registry(&struck, ctx.max_threads(), &registry) {

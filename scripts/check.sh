@@ -45,6 +45,12 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The benchmark (perfbench/) is its own package with path dependencies on
+# crates/*; building it here makes an arc-core API change that breaks the
+# benchmark fail this gate.
+echo "==> benchmark build: cargo build --release --offline --manifest-path perfbench/Cargo.toml"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> workspace tests: cargo test --workspace -q"
 cargo test --workspace -q
 

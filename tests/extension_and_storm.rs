@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use arc::core::{decode_with_registry, encode_with_scheme, ExtensionRegistry};
+use arc::core::{arc_engine_encode, decode_with_registry, ExtensionRegistry};
 use arc::faultsim::{storm, FaultMix};
 use arc_ecc::{EccScheme, InterleavedSecDed, Replication};
 
@@ -24,7 +24,7 @@ fn custom_schemes_survive_their_design_storms() {
     let data = checkpoint(500_000);
     let r = registry();
     // TMR vs a Cielo-like storm (bursts up to 512 bytes).
-    let enc = encode_with_scheme(&data, &r, "tmr", 2).unwrap();
+    let enc = arc_engine_encode(&data, r.scheme("tmr").unwrap(), 2).unwrap();
     let mut struck = enc.clone();
     storm(&mut struck, 25, &FaultMix::cielo_like(), 0xE57);
     let (out, report) = decode_with_registry(&struck, 2, &r).unwrap();
@@ -32,7 +32,7 @@ fn custom_schemes_survive_their_design_storms() {
     assert!(!report.correction.is_clean());
 
     // Interleaved SEC-DED vs sparse single-bit weather.
-    let enc = encode_with_scheme(&data, &r, "ilsecded", 2).unwrap();
+    let enc = arc_engine_encode(&data, r.scheme("ilsecded").unwrap(), 2).unwrap();
     let mut struck = enc.clone();
     let single_only = FaultMix { single_bit_fraction: 1.0, burst_bytes: (1, 1) };
     storm(&mut struck, 30, &single_only, 0xE58);
@@ -65,8 +65,8 @@ fn interleaved_secded_beats_plain_secded_on_bursts() {
 fn extension_overheads_match_their_contracts() {
     let data = checkpoint(100_000);
     let r = registry();
-    let tmr = encode_with_scheme(&data, &r, "tmr", 1).unwrap();
-    let il = encode_with_scheme(&data, &r, "ilsecded", 1).unwrap();
+    let tmr = arc_engine_encode(&data, r.scheme("tmr").unwrap(), 1).unwrap();
+    let il = arc_engine_encode(&data, r.scheme("ilsecded").unwrap(), 1).unwrap();
     let overhead = |enc: &Vec<u8>| (enc.len() as f64 - data.len() as f64) / data.len() as f64;
     assert!(overhead(&tmr) > 1.9, "TMR ≈ 200%: {}", overhead(&tmr));
     assert!(overhead(&il) < 0.14, "interleave ≈ 12.5%: {}", overhead(&il));
