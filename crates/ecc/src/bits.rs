@@ -136,94 +136,6 @@ pub fn read_bits_at(bytes: &[u8], idx: u64, n: u32) -> u64 {
     (u64::from_le_bytes(w) >> (idx % 8)) & ((1u64 << n) - 1)
 }
 
-/// A tightly-packed writer for sub-byte parity fields.
-///
-/// Hamming(12,8) produces 4 parity bits per data byte and SEC-DED(13,8)
-/// produces 5; packing them avoids paying a whole byte per block.
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    buf: Vec<u8>,
-    /// Number of valid bits in `buf`.
-    len: u64,
-}
-
-impl BitWriter {
-    /// Create an empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create a writer with capacity for `bits` bits.
-    pub fn with_capacity_bits(bits: u64) -> Self {
-        BitWriter { buf: Vec::with_capacity(bits.div_ceil(8) as usize), len: 0 }
-    }
-
-    /// Append the low `n` bits of `value`, least-significant bit first.
-    ///
-    /// # Panics
-    /// Panics if `n > 32`.
-    pub fn write_bits(&mut self, value: u32, n: u32) {
-        assert!(n <= 32);
-        for i in 0..n {
-            let bit = (value >> i) & 1 == 1;
-            let byte_idx = (self.len / 8) as usize;
-            if byte_idx == self.buf.len() {
-                self.buf.push(0);
-            }
-            if bit {
-                self.buf[byte_idx] |= 1 << (self.len % 8);
-            }
-            self.len += 1;
-        }
-    }
-
-    /// Number of bits written so far.
-    pub fn bit_len(&self) -> u64 {
-        self.len
-    }
-
-    /// Finish, returning the packed bytes (final partial byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-}
-
-/// Reader counterpart of [`BitWriter`].
-#[derive(Debug)]
-pub struct BitReader<'a> {
-    buf: &'a [u8],
-    pos: u64,
-}
-
-impl<'a> BitReader<'a> {
-    /// Wrap a packed byte slice.
-    pub fn new(buf: &'a [u8]) -> Self {
-        BitReader { buf, pos: 0 }
-    }
-
-    /// Read `n` bits (LSB first), returning them in the low bits of the result.
-    ///
-    /// # Panics
-    /// Panics if fewer than `n` bits remain or `n > 32`.
-    pub fn read_bits(&mut self, n: u32) -> u32 {
-        assert!(n <= 32);
-        assert!(self.pos + n as u64 <= bit_len(self.buf), "BitReader exhausted");
-        let mut v = 0u32;
-        for i in 0..n {
-            if get_bit(self.buf, self.pos) {
-                v |= 1 << i;
-            }
-            self.pos += 1;
-        }
-        v
-    }
-
-    /// Current read position in bits.
-    pub fn bit_pos(&self) -> u64 {
-        self.pos
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,29 +166,6 @@ mod tests {
         let a = [0b1010_1010u8, 0xFF];
         let b = [0b1010_1000u8, 0x7F];
         assert_eq!(hamming_distance(&a, &b), 2);
-    }
-
-    #[test]
-    fn bit_writer_reader_round_trip() {
-        let mut w = BitWriter::new();
-        let fields: &[(u32, u32)] = &[(0b101, 3), (0x1F, 5), (0, 4), (0xABCD, 16), (1, 1)];
-        for &(v, n) in fields {
-            w.write_bits(v, n);
-        }
-        assert_eq!(w.bit_len(), 29);
-        let bytes = w.into_bytes();
-        let mut r = BitReader::new(&bytes);
-        for &(v, n) in fields {
-            assert_eq!(r.read_bits(n), v);
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn bit_reader_panics_past_end() {
-        let bytes = [0u8];
-        let mut r = BitReader::new(&bytes);
-        r.read_bits(9);
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Bit-granular stream I/O for entropy coders.
 //!
 //! Compression streams (Huffman codes, ZFP bit planes) need MSB-first,
-//! variable-width reads and writes. The writer accumulates into a byte
-//! vector; the reader tracks an explicit bit cursor and returns structured
-//! errors on exhaustion — a corrupted length field must surface as a decode
-//! error (the paper's *Compressor Exception* outcome), never as UB.
+//! variable-width reads and writes. Both sides work a word at a time: the
+//! writer shifts fields into a u64 accumulator and flushes whole 32-bit
+//! groups, and the reader serves every field from one big-endian 8-byte load
+//! at the cursor's byte, so a field costs a shift and a mask, not a loop
+//! over its bits. The reader tracks an explicit bit cursor and returns
+//! structured errors on exhaustion — a corrupted length field must surface
+//! as a decode error (the paper's *Compressor Exception* outcome), never as
+//! UB.
 
 use crate::error::LosslessError;
 
 /// MSB-first bit writer.
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
+    /// Flushed bytes.
     bytes: Vec<u8>,
-    /// Bits used in the final byte (0..8); 0 means byte-aligned.
-    partial: u32,
+    /// Pending bits, right-aligned: the low `pending` bits are the stream's
+    /// tail (bits above them are stale and never read).
+    acc: u64,
+    /// Number of pending bits in `acc`, always below 32 between calls.
+    pending: u32,
 }
 
 impl BitWriter {
@@ -26,43 +34,55 @@ impl BitWriter {
     ///
     /// # Panics
     /// Panics if `n > 64`.
+    #[inline]
     pub fn write_bits(&mut self, value: u64, n: u32) {
         assert!(n <= 64, "write_bits supports at most 64 bits");
-        for i in (0..n).rev() {
-            let bit = (value >> i) & 1;
-            if self.partial == 0 {
-                self.bytes.push(0);
-            }
-            if let Some(last) = self.bytes.last_mut() {
-                *last |= (bit as u8) << (7 - self.partial);
-            }
-            self.partial = (self.partial + 1) % 8;
+        if n > 32 {
+            self.put(value >> 32, n - 32);
+            self.put(value, 32);
+        } else {
+            self.put(value, n);
+        }
+    }
+
+    /// Append the low `n <= 32` bits of `value`. With fewer than 32 bits
+    /// pending the accumulator never holds more than 63 live bits, and a
+    /// full 32-bit group is flushed as soon as one forms.
+    #[inline]
+    fn put(&mut self, value: u64, n: u32) {
+        debug_assert!(n <= 32 && self.pending < 32);
+        let mask = (1u64 << n) - 1;
+        self.acc = (self.acc << n) | (value & mask);
+        self.pending += n;
+        if self.pending >= 32 {
+            self.pending -= 32;
+            let group = (self.acc >> self.pending) as u32;
+            self.bytes.extend_from_slice(&group.to_be_bytes());
         }
     }
 
     /// Append a single bit.
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u64, 1);
+        self.put(bit as u64, 1);
     }
 
     /// Pad to a byte boundary with zero bits.
     pub fn align_byte(&mut self) {
-        self.partial = 0;
+        self.put(0, (8 - self.pending % 8) % 8);
     }
 
     /// Total bits written.
     pub fn bit_len(&self) -> u64 {
-        let full = self.bytes.len() as u64 * 8;
-        if self.partial == 0 {
-            full
-        } else {
-            full - (8 - self.partial as u64)
-        }
+        self.bytes.len() as u64 * 8 + self.pending as u64
     }
 
     /// Finish, returning the backing bytes (final byte zero-padded).
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.align_byte();
+        let tail = (self.acc << (32 - self.pending)) as u32;
+        let whole = (self.pending / 8) as usize;
+        self.bytes.extend_from_slice(&tail.to_be_bytes()[..whole]);
         self.bytes
     }
 }
@@ -75,6 +95,10 @@ pub struct BitReader<'a> {
 }
 
 impl<'a> BitReader<'a> {
+    /// Widest field [`BitReader::peek`] serves: one 8-byte load holds at
+    /// least 57 bits past any bit offset.
+    pub const MAX_PEEK: u32 = 57;
+
     /// Wrap a slice; reading starts at bit 0 of byte 0.
     pub fn new(bytes: &'a [u8]) -> Self {
         BitReader { bytes, pos: 0 }
@@ -90,35 +114,74 @@ impl<'a> BitReader<'a> {
         self.pos
     }
 
+    /// The eight bytes starting at the cursor's byte as a big-endian word,
+    /// zero-padded past the end of the stream.
+    #[inline]
+    fn word(&self) -> u64 {
+        let at = (self.pos / 8) as usize;
+        let rest = self.bytes.get(at..).unwrap_or_default();
+        match rest.first_chunk::<8>() {
+            Some(w) => u64::from_be_bytes(*w),
+            None => Self::tail_word(rest),
+        }
+    }
+
+    /// Slow path of [`BitReader::word`] for the last seven bytes.
+    #[cold]
+    fn tail_word(rest: &[u8]) -> u64 {
+        rest.iter().enumerate().fold(0u64, |w, (i, &b)| w | ((b as u64) << (56 - 8 * i)))
+    }
+
+    /// The next `n` bits MSB-first in the low bits of the result, without
+    /// moving the cursor. Bits past the end of the stream read as zero.
+    ///
+    /// # Panics
+    /// Panics (debug) if `n > MAX_PEEK`.
+    #[inline]
+    pub fn peek(&self, n: u32) -> u64 {
+        debug_assert!(n <= Self::MAX_PEEK);
+        (self.word() << (self.pos % 8)).checked_shr(64 - n).unwrap_or(0)
+    }
+
+    /// Advance the cursor by `n` bits, stopping at the end of the stream.
+    #[inline]
+    pub fn consume(&mut self, n: u32) {
+        self.pos += (n as u64).min(self.remaining());
+    }
+
     /// Read one bit.
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, LosslessError> {
-        if self.pos >= self.bytes.len() as u64 * 8 {
-            return Err(LosslessError::truncated("bit stream exhausted"));
-        }
-        let byte = self.bytes[(self.pos / 8) as usize];
+        let byte = self
+            .bytes
+            .get((self.pos / 8) as usize)
+            .ok_or_else(|| LosslessError::truncated("bit stream exhausted"))?;
         let bit = (byte >> (7 - (self.pos % 8))) & 1 == 1;
         self.pos += 1;
         Ok(bit)
     }
 
-    /// Read `n` bits MSB-first into the low bits of the result.
+    /// Read `n` bits MSB-first into the low bits of the result. On error the
+    /// cursor does not move.
     ///
     /// # Panics
     /// Panics if `n > 64`.
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> Result<u64, LosslessError> {
         assert!(n <= 64);
         if self.remaining() < n as u64 {
             return Err(LosslessError::truncated("bit stream exhausted"));
         }
-        let mut v = 0u64;
-        for _ in 0..n {
-            let byte = self.bytes[(self.pos / 8) as usize];
-            let bit = (byte >> (7 - (self.pos % 8))) & 1;
-            v = (v << 1) | bit as u64;
-            self.pos += 1;
+        if n <= Self::MAX_PEEK {
+            let v = self.peek(n);
+            self.pos += n as u64;
+            return Ok(v);
         }
-        Ok(v)
+        let hi = self.peek(n - 32);
+        self.pos += (n - 32) as u64;
+        let lo = self.peek(32);
+        self.pos += 32;
+        Ok((hi << 32) | lo)
     }
 
     /// Skip to the next byte boundary.

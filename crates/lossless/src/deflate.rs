@@ -13,7 +13,7 @@
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
 use crate::error::LosslessError;
 use crate::huffman::HuffmanCode;
-use crate::lz77::{reconstruct, tokenize, Lz77Config, Token, MAX_MATCH, MIN_MATCH};
+use crate::lz77::{for_each_token, reconstruct, Lz77Config, Token, MAX_MATCH, MIN_MATCH};
 
 const MAGIC: &[u8; 4] = b"ADFL";
 
@@ -119,38 +119,43 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Compress with explicit LZ77 tuning.
 pub fn compress_with(data: &[u8], cfg: &Lz77Config) -> Vec<u8> {
-    let tokens = tokenize(data, cfg);
-    // Frequency pass.
+    // Frequency pass, as tokens arrive. Tokens wait for the emission pass
+    // packed in one u32 each: a literal is its byte (below 256), a match is
+    // `len << 16 | (dist - 1)` (at least `MIN_MATCH << 16`, as
+    // `dist <= WINDOW = 1 << 16`).
     let mut lit_freq = vec![0u64; LITLEN_ALPHABET];
     let mut dist_freq = vec![0u64; DIST_ALPHABET];
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => lit_freq[b as usize] += 1,
-            Token::Match { len, dist } => {
-                let (li, _) = bucketize(len, &LEN_BUCKETS);
-                lit_freq[(SYM_LEN_BASE + li) as usize] += 1;
-                let (di, _) = bucketize(dist, &DIST_BUCKETS);
-                dist_freq[di as usize] += 1;
-            }
+    let mut packed = Vec::new();
+    for_each_token(data, cfg, |t| match t {
+        Token::Literal(b) => {
+            lit_freq[b as usize] += 1;
+            packed.push(b as u32);
         }
-    }
+        Token::Match { len, dist } => {
+            let (li, _) = bucketize(len, &LEN_BUCKETS);
+            lit_freq[(SYM_LEN_BASE + li) as usize] += 1;
+            let (di, _) = bucketize(dist, &DIST_BUCKETS);
+            dist_freq[di as usize] += 1;
+            packed.push((len << 16) | (dist - 1));
+        }
+    });
     lit_freq[SYM_EOB as usize] += 1;
     let lit_code = HuffmanCode::code_for_frequencies(&lit_freq);
     let dist_code = HuffmanCode::code_for_frequencies(&dist_freq);
     // Emission pass.
     let mut bits = BitWriter::new();
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => lit_code.encode_symbol(b as u32, &mut bits),
-            Token::Match { len, dist } => {
-                let (li, lx) = bucketize(len, &LEN_BUCKETS);
-                lit_code.encode_symbol(SYM_LEN_BASE + li, &mut bits);
-                bits.write_bits(lx as u64, LEN_BUCKETS[li as usize].1);
-                let (di, dx) = bucketize(dist, &DIST_BUCKETS);
-                dist_code.encode_symbol(di, &mut bits);
-                bits.write_bits(dx as u64, DIST_BUCKETS[di as usize].1);
-            }
+    for &p in &packed {
+        if p < 256 {
+            lit_code.encode_symbol(p, &mut bits);
+            continue;
         }
+        let (len, dist) = (p >> 16, (p & 0xFFFF) + 1);
+        let (li, lx) = bucketize(len, &LEN_BUCKETS);
+        lit_code.encode_symbol(SYM_LEN_BASE + li, &mut bits);
+        bits.write_bits(lx as u64, LEN_BUCKETS[li as usize].1);
+        let (di, dx) = bucketize(dist, &DIST_BUCKETS);
+        dist_code.encode_symbol(di, &mut bits);
+        bits.write_bits(dx as u64, DIST_BUCKETS[di as usize].1);
     }
     lit_code.encode_symbol(SYM_EOB, &mut bits);
     let payload = bits.into_bytes();

@@ -289,30 +289,54 @@ pub struct HuffmanDecoder {
 
 impl HuffmanDecoder {
     /// Decode one symbol from the reader.
+    ///
+    /// One peek of `max_len` bits (≤ [`MAX_CODE_LEN`], so it fits
+    /// [`BitReader::MAX_PEEK`]) holds every candidate codeword; the walk over
+    /// lengths only shifts that word. Outcomes match a bit-serial decoder
+    /// exactly, cursor included: a codeword that would run past the end of
+    /// the stream is `Truncated` and leaves the cursor at the end, and
+    /// `max_len` bits that match no code are `Malformed` and consumed.
+    #[inline]
     pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> Result<u32, LosslessError> {
         if self.max_len == 0 {
             return Err(LosslessError::malformed("decode from empty huffman code"));
         }
-        let mut code = 0u64;
+        let bits = r.peek(self.max_len);
         for l in 1..=self.max_len {
-            code = (code << 1) | r.read_bit()? as u64;
+            let code = bits >> (self.max_len - l);
             let c = self.count[l as usize];
             if c > 0 && code < self.first_code[l as usize] + c {
+                if r.remaining() < l as u64 {
+                    break;
+                }
+                r.consume(l);
                 let offset = code - self.first_code[l as usize];
                 let idx = self.first_index[l as usize] + offset;
                 return Ok(self.symbols_by_len[idx as usize]);
             }
         }
-        Err(LosslessError::malformed("invalid huffman codeword"))
+        let exhausted = r.remaining() < self.max_len as u64;
+        r.consume(self.max_len);
+        Err(if exhausted {
+            LosslessError::truncated("bit stream exhausted")
+        } else {
+            LosslessError::malformed("invalid huffman codeword")
+        })
     }
 }
 
 /// Encode a symbol slice as `serialized table ‖ varint count ‖ bitstream`.
-pub fn huffman_encode_block(symbols: &[u32], alphabet: usize) -> Result<Vec<u8>, LosslessError> {
+///
+/// Symbols may be any unsigned type up to `u32` (SZ codes quantization bins
+/// as `u32`, the zstd-like pipeline its literals as bytes).
+pub fn huffman_encode_block<S: Copy + Into<u32>>(
+    symbols: &[S],
+    alphabet: usize,
+) -> Result<Vec<u8>, LosslessError> {
     let mut freqs = vec![0u64; alphabet];
     for &s in symbols {
         *freqs
-            .get_mut(s as usize)
+            .get_mut(s.into() as usize)
             .ok_or_else(|| LosslessError::malformed("symbol outside alphabet"))? += 1;
     }
     let code = HuffmanCode::code_for_frequencies(&freqs);
@@ -321,7 +345,7 @@ pub fn huffman_encode_block(symbols: &[u32], alphabet: usize) -> Result<Vec<u8>,
     write_varint(&mut out, symbols.len() as u64);
     let mut bits = BitWriter::new();
     for &s in symbols {
-        code.encode_symbol(s, &mut bits);
+        code.encode_symbol(s.into(), &mut bits);
     }
     let payload = bits.into_bytes();
     write_varint(&mut out, payload.len() as u64);
@@ -428,7 +452,7 @@ mod tests {
 
     #[test]
     fn rejects_symbol_outside_alphabet() {
-        assert!(huffman_encode_block(&[10], 5).is_err());
+        assert!(huffman_encode_block(&[10u32], 5).is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use crate::bitio::{read_varint, write_varint, BitReader, BitWriter};
 use crate::error::LosslessError;
 use crate::huffman::{huffman_decode_block, huffman_encode_block, HuffmanCode};
-use crate::lz77::{tokenize, Lz77Config, Token, MAX_MATCH, WINDOW};
+use crate::lz77::{for_each_token, Lz77Config, Token, MAX_MATCH, WINDOW};
 
 const MAGIC: &[u8; 4] = b"AZST";
 
@@ -59,45 +59,44 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Compress with explicit LZ77 tuning.
 pub fn compress_with(data: &[u8], cfg: &Lz77Config) -> Vec<u8> {
-    let tokens = tokenize(data, cfg);
-    // Split tokens into a literal byte stream plus sequences.
+    // Split the token stream into a literal byte stream plus sequences.
     let mut literals = Vec::new();
     let mut sequences = Vec::new();
     let mut run = 0u32;
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => {
-                literals.push(b as u32);
-                run += 1;
-            }
-            Token::Match { len, dist } => {
-                sequences.push(Sequence { lit_run: run, match_len: len, match_dist: dist });
-                run = 0;
-            }
+    for_each_token(data, cfg, |t| match t {
+        Token::Literal(b) => {
+            literals.push(b);
+            run += 1;
         }
-    }
+        Token::Match { len, dist } => {
+            sequences.push(Sequence { lit_run: run, match_len: len, match_dist: dist });
+            run = 0;
+        }
+    });
     if run > 0 {
         sequences.push(Sequence { lit_run: run, match_len: 0, match_dist: 0 });
     }
     // Command alphabet: 32 lit-run buckets ‖ 32 len buckets ‖ 32 dist buckets.
-    let mut freq = vec![0u64; 96];
-    let mut plan: Vec<(u32, u32, u32)> = Vec::new(); // (symbol, extra, extra_bits)
-    for s in &sequences {
+    // Each sequence is three (symbol, extra, extra_bits) commands.
+    let commands = |s: &Sequence| {
         let (b, x, nb) = log_bucket(s.lit_run + 1); // +1 so zero runs encode
-        plan.push((b, x, nb));
         let (b2, x2, nb2) = log_bucket(s.match_len + 1);
-        plan.push((32 + b2, x2, nb2));
         let (b3, x3, nb3) = log_bucket(s.match_dist + 1);
-        plan.push((64 + b3, x3, nb3));
-    }
-    for &(sym, _, _) in &plan {
-        freq[sym as usize] += 1;
+        [(b, x, nb), (32 + b2, x2, nb2), (64 + b3, x3, nb3)]
+    };
+    let mut freq = vec![0u64; 96];
+    for s in &sequences {
+        for (sym, _, _) in commands(s) {
+            freq[sym as usize] += 1;
+        }
     }
     let code = HuffmanCode::code_for_frequencies(&freq);
     let mut bits = BitWriter::new();
-    for &(sym, extra, nb) in &plan {
-        code.encode_symbol(sym, &mut bits);
-        bits.write_bits(extra as u64, nb);
+    for s in &sequences {
+        for (sym, extra, nb) in commands(s) {
+            code.encode_symbol(sym, &mut bits);
+            bits.write_bits(extra as u64, nb);
+        }
     }
     let seq_payload = bits.into_bytes();
 

@@ -51,6 +51,18 @@ cargo test -q
 echo "==> benchmark build: cargo build --release --offline --manifest-path perfbench/Cargo.toml"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+# One short checkpoint_sz run end to end. The benchmark byte-compares its
+# streaming and one-shot containers and checks every decoded error bound,
+# so a slip in the shared bit I/O or LZ77 stage fails here too. Its last
+# line is a JSON summary whose "correct" field must be true.
+echo "==> benchmark smoke: perfbench --workload checkpoint_sz --seconds 1 --trace 0"
+smoke=$(cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload checkpoint_sz --seconds 1 --trace 0 | tail -n 1)
+if [[ "$smoke" != *'"correct": true'* ]]; then
+    echo "error: perfbench smoke run was not correct: ${smoke}" >&2
+    exit 1
+fi
+
 echo "==> workspace tests: cargo test --workspace -q"
 cargo test --workspace -q
 
