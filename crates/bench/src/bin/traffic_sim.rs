@@ -8,7 +8,7 @@
 //!    compares against the one-shot `arc_engine_encode_sharded` wall
 //!    time at the same thread count. A process-global counting allocator
 //!    (peak *live* bytes, not cumulative) proves the streaming path's
-//!    footprint stays below 25% of the input — the O(ring × shard)
+//!    footprint stays below 25% of the input — the O(threads × shard)
 //!    contract — while throughput stays within 10% of one-shot
 //!    (`MIN_STREAM_RATIO`, default 0.9).
 //! 2. **Closed-loop traffic** — two client threads issue a seeded
@@ -229,8 +229,7 @@ fn run_op(class: usize, rng: &mut Rng, w: &Workload, reader: &mut ArcReader) -> 
             let len = w.write_min + rng.below((w.write_max - w.write_min) as u64) as usize;
             let start = rng.below((w.scratch.len() - len) as u64) as usize;
             let payload = &w.scratch[start..start + len];
-            let opts =
-                StreamOptions { threads: 1, shard_size: w.write_shard, ..StreamOptions::default() };
+            let opts = StreamOptions { threads: 1, shard_size: w.write_shard };
             let mut enc = StreamEncoder::new(Vec::new(), w.config, opts).expect("stream encoder");
             for piece in payload.chunks(32 << 10) {
                 enc.push(piece).expect("stream push");
@@ -381,7 +380,6 @@ fn main() {
     let stream_mib = mib_override.unwrap_or(if smoke { 64 } else { 256 });
     let input_len = stream_mib << 20;
     let shard_size = 4 << 20;
-    let ring = 4;
     // Smoke pins threads=1 (inline path) so the CI footprint is flat; the
     // recorded run uses every core, matching the one-shot side.
     let threads = if smoke { 1 } else { max_threads };
@@ -404,7 +402,7 @@ fn main() {
         std::hint::black_box(&container);
     }
 
-    let opts = StreamOptions { threads, shard_size, ring, ..StreamOptions::default() };
+    let opts = StreamOptions { threads, shard_size };
     {
         // Warm the streaming path (thread spawn, lazy tables) off the clock.
         let mut enc = StreamEncoder::new(Discard::default(), config, opts).expect("encoder");
@@ -538,7 +536,7 @@ fn main() {
     println!("  \"recorded_cores\": {max_threads},");
     println!(
         concat!(
-            "  \"streaming\": {{\"input_bytes\": {}, \"shard_size\": {}, \"ring\": {}, ",
+            "  \"streaming\": {{\"input_bytes\": {}, \"shard_size\": {}, ",
             "\"threads\": {}, \"effective_workers\": {}, \"container_len\": {}, ",
             "\"oneshot_mib_s\": {:.1}, \"stream_mib_s\": {:.1}, ",
             "\"stream_vs_oneshot\": {:.3}, \"peak_bytes\": {}, \"peak_frac\": {:.4}, ",
@@ -546,7 +544,6 @@ fn main() {
         ),
         input_len,
         shard_size,
-        ring,
         threads,
         effective_workers,
         container_len,

@@ -42,7 +42,7 @@
 
 use std::sync::Arc;
 
-use arc_ecc::crc::crc32;
+use arc_ecc::crc::{crc32, crc32_combine};
 use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec, RsCodeword};
 
 use crate::error::ArcError;
@@ -507,9 +507,12 @@ pub fn encode_sharded<S: EccScheme>(
     }
     let mut entries = Vec::with_capacity(data.len().div_ceil(shard_size.max(1)));
     let mut payload_len = 0usize;
+    let mut data_crc = 0u32;
     for shard in data.chunks(shard_size) {
         let (entry, next) = shard_entry(payload_len, shard.len(), codec.encoded_len(shard.len()))?;
-        entries.push(ShardEntry { crc: crc32(shard), ..entry });
+        let crc = crc32(shard);
+        data_crc = crc32_combine(data_crc, crc, shard.len());
+        entries.push(ShardEntry { crc, ..entry });
         payload_len = next;
     }
     let index = rs_index_encode(&serialize_index(&entries))?;
@@ -518,7 +521,7 @@ pub fn encode_sharded<S: EccScheme>(
         chunk_size: codec.chunk_size(),
         data_len: data.len(),
         payload_len,
-        data_crc: crc32(data),
+        data_crc,
         sharding: Some(ShardingMeta { shard_size, index_len: index.len() }),
     };
     let hlen = header_len(&meta);

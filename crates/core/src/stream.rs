@@ -4,11 +4,12 @@
 //! container) must be resident at once. This module adds the bounded-memory
 //! service layer (DESIGN.md §14):
 //!
-//! * [`StreamEncoder`] — accepts data in arbitrary-size pushes, encodes
-//!   full shards on a bounded ring of in-flight jobs (back-pressure when
-//!   the ring is full, so peak memory is O(ring × shard) regardless of
-//!   input size), and emits v2 container bytes to a [`StreamSink`]. The
-//!   finished container is **byte-identical** to
+//! * [`StreamEncoder`] — accepts data in arbitrary-size pushes and encodes
+//!   it in passes of up to `threads` whole shards, one job per shard on the
+//!   same pool helper the batch front-end uses. A pass finishes before
+//!   `push` returns, so peak buffering is `threads` × (shard + encoded
+//!   shard) regardless of input size. Emits v2 container bytes to a
+//!   [`StreamSink`]. The finished container is **byte-identical** to
 //!   [`container::encode_sharded`] with the same configuration: shard
 //!   payloads are per-shard [`ParallelCodec::encode_into`] regions (the
 //!   invariant `encode_sharded_into` already guarantees), and the header
@@ -24,11 +25,7 @@
 //!   requests into one flat pool pass so requests below the per-scheme
 //!   bytes-per-thread floor still fill all workers in aggregate.
 
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::thread;
-
-use arc_ecc::crc::{crc32, Crc32};
+use arc_ecc::crc::{crc32, crc32_combine};
 use arc_ecc::parallel::{resolve_threads, DEFAULT_CHUNK_SIZE};
 use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec};
 use rayon::prelude::*;
@@ -69,28 +66,17 @@ impl StreamSink for Vec<u8> {
 /// Tuning knobs for [`StreamEncoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamOptions {
-    /// Worker threads for shard ECC (`0` = all available cores, as
-    /// [`arc_ecc::ANY_THREADS`]; `1` = encode inline on the pushing
-    /// thread, no workers spawned).
+    /// Shards encoded in parallel per pass (`0` = all available cores, as
+    /// [`arc_ecc::ANY_THREADS`]; `1` = encode each shard on the pushing
+    /// thread). Peak buffering is `threads` × (shard + encoded shard).
     pub threads: usize,
     /// Decoded bytes per shard (the v2 random-access granule).
     pub shard_size: usize,
-    /// ECC chunk size within a shard; must match the one-shot path's
-    /// [`DEFAULT_CHUNK_SIZE`] for byte-identical output.
-    pub chunk_size: usize,
-    /// Maximum in-flight shard jobs. Peak buffering is O(`ring` ×
-    /// encoded-shard); a full ring back-pressures `push`.
-    pub ring: usize,
 }
 
 impl Default for StreamOptions {
     fn default() -> Self {
-        StreamOptions {
-            threads: 1,
-            shard_size: DEFAULT_SHARD_SIZE,
-            chunk_size: DEFAULT_CHUNK_SIZE,
-            ring: 4,
-        }
+        StreamOptions { threads: 1, shard_size: DEFAULT_SHARD_SIZE }
     }
 }
 
@@ -103,111 +89,13 @@ pub struct StreamEncodeStats {
     pub container_len: usize,
     /// Shards emitted.
     pub shards: usize,
-    /// Worker threads the ring ran (0 = inline encoding, no workers).
+    /// Most shards one pass encodes: the resolved thread count (1 = every
+    /// shard is encoded on the pushing thread).
     pub workers: usize,
-    /// Ring capacity the encoder ran with.
-    pub ring: usize,
-    /// Times `push`/`finish` blocked because the ring was full — the
-    /// back-pressure events that bound peak memory.
+    /// Passes that ran on worker threads. Each blocks `push`/`finish` until
+    /// its shards are written — the back-pressure that bounds peak memory.
+    /// Always 0 at one thread.
     pub backpressure_waits: u64,
-}
-
-/// One shard handed to the ring: the staged plaintext and a pre-sized
-/// output buffer. Buffers are allocated by the pushing thread and recycled
-/// through the free lists, so worker threads allocate nothing.
-struct Job {
-    seq: usize,
-    data: Vec<u8>,
-    out: Vec<u8>,
-}
-
-/// A finished shard coming back from the ring.
-struct Done {
-    seq: usize,
-    data: Vec<u8>,
-    out: Vec<u8>,
-    crc: u32,
-}
-
-/// The worker side of the bounded ring: a shared job queue, a completion
-/// queue, and the thread handles. Dropping the ring closes the job queue,
-/// drains completions, and joins every worker.
-struct Ring {
-    jobs_tx: Option<mpsc::Sender<Job>>,
-    done_rx: mpsc::Receiver<Done>,
-    handles: Vec<thread::JoinHandle<()>>,
-}
-
-impl Drop for Ring {
-    fn drop(&mut self) {
-        // Closing the job channel lets idle workers exit; draining the
-        // completion channel lets busy ones finish their send.
-        self.jobs_tx = None;
-        while self.done_rx.recv().is_ok() {}
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(
-    jobs: &Mutex<mpsc::Receiver<Job>>,
-    done: &mpsc::Sender<Done>,
-    scheme: Arc<dyn EccScheme>,
-    chunk_size: usize,
-) {
-    // One sequential codec per worker: shard-level parallelism comes from
-    // the ring, so per-shard encode stays single-threaded and allocation
-    // free. Construction was already validated by the encoder's own codec;
-    // if it fails here anyway, exiting turns into a clean `ArcError::Io`
-    // on the encoder side.
-    let Ok(codec) = ParallelCodec::with_chunk_size(scheme, 1, chunk_size) else {
-        return;
-    };
-    loop {
-        let job = {
-            let rx = match jobs.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            match rx.recv() {
-                Ok(j) => j,
-                Err(_) => return,
-            }
-        };
-        let Job { seq, data, mut out } = job;
-        codec.encode_into(&data, &mut out);
-        let crc = crc32(&data);
-        if done.send(Done { seq, data, out, crc }).is_err() {
-            return;
-        }
-    }
-}
-
-impl Ring {
-    fn start(
-        scheme: Arc<dyn EccScheme>,
-        chunk_size: usize,
-        workers: usize,
-    ) -> Result<Ring, ArcError> {
-        let (jobs_tx, jobs_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
-        let mut ring = Ring { jobs_tx: Some(jobs_tx), done_rx, handles: Vec::new() };
-        for i in 0..workers {
-            let rx = Arc::clone(&jobs_rx);
-            let tx = done_tx.clone();
-            let scheme = Arc::clone(&scheme);
-            let handle = thread::Builder::new()
-                .name(format!("arc-stream-{i}"))
-                .spawn(move || worker_loop(&rx, &tx, scheme, chunk_size))
-                .map_err(|e| ArcError::Io(format!("stream worker spawn: {e}")))?;
-            ring.handles.push(handle);
-        }
-        // `done_tx` clones live in the workers; dropping the original here
-        // makes `done_rx` disconnect exactly when the last worker exits.
-        Ok(ring)
-    }
 }
 
 /// Incremental v2 container writer with bounded memory.
@@ -229,24 +117,22 @@ impl Ring {
 pub struct StreamEncoder<S: StreamSink> {
     sink: S,
     scheme_id: String,
-    /// Sequential codec for geometry (and inline encode when `workers`
-    /// is 0). Runs the scheme behind an `Arc` so built-ins and extension
-    /// schemes share one code path.
+    /// Sequential per-shard codec. Runs the scheme behind an `Arc` so
+    /// built-ins and extension schemes share one code path.
     codec: SchemeCodec,
     shard_size: usize,
-    ring_cap: usize,
+    /// Most shards per pass.
     workers: usize,
     hlen: usize,
+    /// Up to `workers` whole shards (or the tail) awaiting a pass.
     staging: Vec<u8>,
-    crc: Crc32,
+    /// One encoded-shard buffer per pass slot, reused across passes.
+    outs: Vec<Vec<u8>>,
+    /// CRC-32 of every byte encoded so far, folded from the shard CRCs.
+    data_crc: u32,
     data_len: usize,
     payload_pos: usize,
     entries: Vec<ShardEntry>,
-    next_seq: usize,
-    outstanding: usize,
-    free_data: Vec<Vec<u8>>,
-    free_out: Vec<Vec<u8>>,
-    ring: Option<Ring>,
     backpressure_waits: u64,
 }
 
@@ -261,226 +147,141 @@ impl<S: StreamSink> StreamEncoder<S> {
         if opts.shard_size == 0 {
             return Err(ArcError::InvalidRequest("shard size must be >= 1".into()));
         }
-        if opts.ring == 0 {
-            return Err(ArcError::InvalidRequest("ring capacity must be >= 1".into()));
+        let workers = resolve_threads(opts.threads);
+        if workers.checked_mul(opts.shard_size).is_none() {
+            return Err(ArcError::InvalidRequest("threads × shard size overflows".into()));
         }
-        let codec = scheme.codec(1, opts.chunk_size)?;
+        let codec = scheme.codec(1, DEFAULT_CHUNK_SIZE)?;
         // The header length is a pure function of the scheme id and the
         // sharded flag, so the payload region can start before any length
         // field is known; `finish` back-patches the real header at 0.
         let meta = ContainerMeta {
             scheme_id: scheme.id().to_string(),
-            chunk_size: opts.chunk_size,
+            chunk_size: DEFAULT_CHUNK_SIZE,
             data_len: 0,
             payload_len: 0,
             data_crc: 0,
             sharding: Some(ShardingMeta { shard_size: opts.shard_size, index_len: 1 }),
         };
         let hlen = container::header_len(&meta);
-        let workers = resolve_threads(opts.threads);
-        let ring = if workers > 1 {
-            Some(Ring::start(Arc::clone(&scheme.ecc), opts.chunk_size, workers.min(opts.ring))?)
-        } else {
-            None
-        };
-        let workers = ring.as_ref().map(|r| r.handles.len()).unwrap_or(0);
         Ok(StreamEncoder {
             sink,
             scheme_id: meta.scheme_id,
             codec,
             shard_size: opts.shard_size,
-            ring_cap: opts.ring,
             workers,
             hlen,
-            staging: Vec::with_capacity(opts.shard_size),
-            crc: Crc32::new(),
+            staging: Vec::new(),
+            outs: Vec::new(),
+            data_crc: 0,
             data_len: 0,
             payload_pos: 0,
             entries: Vec::new(),
-            next_seq: 0,
-            outstanding: 0,
-            free_data: Vec::new(),
-            free_out: Vec::new(),
-            ring,
             backpressure_waits: 0,
         })
     }
 
-    /// Append `bytes` to the stream. Blocks only when the ring is full
-    /// (back-pressure), never on the sink.
+    /// Append `bytes` to the stream. Returns once every pass it completes
+    /// has been written to the sink.
     ///
-    /// Full shards that are entirely contained in `bytes` take a
-    /// zero-copy fast path: with nothing staged, the shard is encoded
-    /// (or handed to a worker) straight from the caller's buffer, so
-    /// large pushes skip the staging memcpy entirely. Output bytes are
-    /// identical either way.
+    /// Whole shards that are entirely contained in `bytes` take a
+    /// zero-copy fast path: with nothing staged, up to `threads` of them
+    /// are encoded straight from the caller's buffer, so large pushes skip
+    /// the staging memcpy entirely. Output bytes are identical either way.
     pub fn push(&mut self, mut bytes: &[u8]) -> Result<(), ArcError> {
         arc_telemetry::counter_add("stream.encode.bytes", bytes.len() as u64);
+        // `new` checked this product.
+        let pass_len = self.workers * self.shard_size;
         while !bytes.is_empty() {
             if self.staging.is_empty() && bytes.len() >= self.shard_size {
-                let (shard, rest) = bytes.split_at(self.shard_size);
-                self.crc.update(shard);
-                self.data_len += shard.len();
-                self.submit_slice(shard)?;
+                let whole = bytes.len() / self.shard_size;
+                let (pass, rest) = bytes.split_at(whole.min(self.workers) * self.shard_size);
+                self.encode_pass(pass)?;
                 bytes = rest;
                 continue;
             }
-            let room = self.shard_size - self.staging.len();
-            let take = room.min(bytes.len());
+            if self.staging.capacity() == 0 {
+                // arc-lint: bounded(encoder-side staging; threads × shard size from the caller's options, not decoded input)
+                self.staging.reserve_exact(pass_len);
+            }
+            let take = (pass_len - self.staging.len()).min(bytes.len());
             self.staging.extend_from_slice(&bytes[..take]);
-            self.crc.update(&bytes[..take]);
-            self.data_len += take;
             bytes = &bytes[take..];
-            if self.staging.len() == self.shard_size {
-                self.submit_shard()?;
+            if self.staging.len() == pass_len {
+                self.flush_staging()?;
             }
         }
         Ok(())
     }
 
-    /// Receive one finished shard, write it at its (pre-computed) payload
-    /// offset, and recycle its buffers. Completion order is arbitrary;
-    /// output bytes are not, because every write is positional.
-    fn reap_one(&mut self) -> Result<(), ArcError> {
-        let done = match &self.ring {
-            Some(r) => {
-                r.done_rx.recv().map_err(|_| ArcError::Io("stream worker terminated".into()))?
-            }
-            None => return Err(ArcError::Io("stream ring is not running".into())),
-        };
-        let offset = self
-            .entries
-            .get(done.seq)
-            .map(|e| e.offset)
-            .ok_or_else(|| ArcError::Io("stream completion out of range".into()))?;
-        self.sink.write_at(self.hlen + offset, &done.out)?;
-        if let Some(e) = self.entries.get_mut(done.seq) {
-            e.crc = done.crc;
-        }
-        self.outstanding -= 1;
-        if self.free_data.len() <= self.ring_cap {
-            self.free_data.push(done.data);
-        }
-        if self.free_out.len() <= self.ring_cap {
-            self.free_out.push(done.out);
-        }
-        Ok(())
+    /// Encode everything staged; `take` + restore keeps the staging
+    /// capacity across passes.
+    fn flush_staging(&mut self) -> Result<(), ArcError> {
+        let staged = std::mem::take(&mut self.staging);
+        let result = self.encode_pass(&staged);
+        self.staging = staged;
+        self.staging.clear();
+        result
     }
 
-    /// Validate a shard's lengths against the index's u32 fields, assign
-    /// its payload offset, and push its (CRC-pending) index entry.
-    /// Returns `(offset, encoded_len)`.
-    fn reserve_entry(&mut self, decoded_len: usize) -> Result<(usize, usize), ArcError> {
-        let encoded_len = self.codec.encoded_len(decoded_len);
-        let (entry, next) = container::shard_entry(self.payload_pos, decoded_len, encoded_len)?;
-        // The CRC slot is filled when the shard's encode completes.
-        self.entries.push(entry);
-        arc_telemetry::counter_add("stream.encode.shards", 1);
-        Ok((std::mem::replace(&mut self.payload_pos, next), encoded_len))
-    }
-
-    /// Back-pressure: reap completed shards until the ring has a free slot.
-    fn wait_for_slot(&mut self) -> Result<(), ArcError> {
-        while self.outstanding >= self.ring_cap {
+    /// Encode `data` — at most `workers` shards, only the last of which
+    /// may be short — as one job per shard (`encode_into` + the shard CRC)
+    /// on [`run_batch`], then write each shard at its precomputed payload
+    /// offset and fold its CRC into the whole-data CRC.
+    fn encode_pass(&mut self, data: &[u8]) -> Result<(), ArcError> {
+        let first = self.entries.len();
+        for shard in data.chunks(self.shard_size) {
+            let encoded_len = self.codec.encoded_len(shard.len());
+            let (entry, next) = container::shard_entry(self.payload_pos, shard.len(), encoded_len)?;
+            self.entries.push(entry);
+            self.payload_pos = next;
+        }
+        let entries = self.entries.get_mut(first..).unwrap_or_default();
+        if self.outs.len() < entries.len() {
+            self.outs.resize_with(entries.len(), Vec::new);
+        }
+        let mut jobs: Vec<_> = data
+            .chunks(self.shard_size)
+            .zip(entries.iter_mut())
+            .zip(self.outs.iter_mut())
+            .map(|((shard, entry), out)| (shard, entry, out))
+            .collect();
+        let codec = &self.codec;
+        let parallel = run_batch(&mut jobs, self.workers, |(shard, entry, out)| {
+            // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
+            out.resize(entry.encoded_len, 0);
+            codec.encode_into(shard, out);
+            entry.crc = crc32(shard);
+        });
+        for (shard, entry, out) in &jobs {
+            self.sink.write_at(self.hlen + entry.offset, out)?;
+            self.data_crc = crc32_combine(self.data_crc, entry.crc, shard.len());
+        }
+        self.data_len += data.len();
+        arc_telemetry::counter_add("stream.encode.shards", jobs.len() as u64);
+        if parallel {
             self.backpressure_waits += 1;
             arc_telemetry::counter_add("stream.encode.backpressure_waits", 1);
-            self.reap_one()?;
         }
         Ok(())
     }
 
-    /// Hand one prepared `(data, out)` pair to the workers.
-    fn send_job(&mut self, data: Vec<u8>, out: Vec<u8>) -> Result<(), ArcError> {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let tx = self
-            .ring
-            .as_ref()
-            .and_then(|r| r.jobs_tx.as_ref())
-            .ok_or_else(|| ArcError::Io("stream ring is not running".into()))?;
-        tx.send(Job { seq, data, out })
-            .map_err(|_| ArcError::Io("stream worker terminated".into()))?;
-        self.outstanding += 1;
-        Ok(())
-    }
-
-    /// Submit the staged (full or tail) shard.
-    fn submit_shard(&mut self) -> Result<(), ArcError> {
-        if self.ring.is_none() {
-            // Inline mode: route through the slice path so the encode
-            // reads the staged bytes directly; `take` + restore keeps the
-            // staging capacity across shards.
-            let staged = std::mem::take(&mut self.staging);
-            let result = self.submit_slice(&staged);
-            self.staging = staged;
-            self.staging.clear();
-            return result;
-        }
-        let (_, encoded_len) = self.reserve_entry(self.staging.len())?;
-        self.wait_for_slot()?;
-        let mut out = self.free_out.pop().unwrap_or_default();
-        // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
-        out.resize(encoded_len, 0);
-        let mut data = self.free_data.pop().unwrap_or_default();
-        data.clear();
-        // Swap, don't copy: the staged buffer becomes the job's and a
-        // recycled one becomes the next staging area.
-        std::mem::swap(&mut data, &mut self.staging);
-        self.send_job(data, out)
-    }
-
-    /// Submit one full shard straight from the caller's buffer. Inline
-    /// mode encodes from the slice with no staging copy; ring mode copies
-    /// it into a recycled job buffer — the one copy a hand-off to another
-    /// thread requires, and the same copy the staging path would have made.
-    fn submit_slice(&mut self, shard: &[u8]) -> Result<(), ArcError> {
-        let (offset, encoded_len) = self.reserve_entry(shard.len())?;
-        if self.ring.is_some() {
-            self.wait_for_slot()?;
-            let mut out = self.free_out.pop().unwrap_or_default();
-            // arc-lint: bounded(encoded_len computed by the codec from the caller's slice, not decoded input)
-            out.resize(encoded_len, 0);
-            let mut data = self.free_data.pop().unwrap_or_default();
-            data.clear();
-            data.extend_from_slice(shard);
-            self.send_job(data, out)
-        } else {
-            let mut out = self.free_out.pop().unwrap_or_default();
-            // arc-lint: bounded(encoded_len computed by the codec from the caller's slice, not decoded input)
-            out.resize(encoded_len, 0);
-            self.codec.encode_into(shard, &mut out);
-            if let Some(e) = self.entries.last_mut() {
-                e.crc = crc32(shard);
-            }
-            self.next_seq += 1;
-            self.sink.write_at(self.hlen + offset, &out)?;
-            self.free_out.push(out);
-            Ok(())
-        }
-    }
-
-    /// Flush the partial tail shard, drain the ring, write the triplicated
-    /// index, back-patch the header, and return the sink.
+    /// Flush the staged shards, write the triplicated index, back-patch the
+    /// header, and return the sink.
     ///
     /// The result is byte-identical to [`container::encode_sharded`] over
     /// the concatenation of every pushed slice.
     pub fn finish(mut self) -> Result<(S, StreamEncodeStats), ArcError> {
         if !self.staging.is_empty() {
-            self.submit_shard()?;
+            self.flush_staging()?;
         }
-        while self.outstanding > 0 {
-            self.reap_one()?;
-        }
-        // Join the workers before sealing the container so a worker that
-        // died mid-shard can't leave a silently unwritten region.
-        self.ring = None;
         let index = container::rs_index_encode(&container::serialize_index(&self.entries))?;
         let meta = ContainerMeta {
             scheme_id: self.scheme_id.clone(),
             chunk_size: self.codec.chunk_size(),
             data_len: self.data_len,
             payload_len: self.payload_pos,
-            data_crc: self.crc.finalize(),
+            data_crc: self.data_crc,
             sharding: Some(ShardingMeta { shard_size: self.shard_size, index_len: index.len() }),
         };
         let hlen = container::header_len(&meta);
@@ -502,7 +303,6 @@ impl<S: StreamSink> StreamEncoder<S> {
             container_len: istart + 3 * index.len(),
             shards: self.entries.len(),
             workers: self.workers,
-            ring: self.ring_cap,
             backpressure_waits: self.backpressure_waits,
         };
         Ok((self.sink, stats))
@@ -587,7 +387,8 @@ pub struct StreamDecoder {
     computed: Vec<ShardEntry>,
     decoded_so_far: usize,
     payload_pos: usize,
-    out_crc: Crc32,
+    /// CRC-32 of the plaintext emitted so far, folded from the shard CRCs.
+    data_crc: u32,
     correction: CorrectionReport,
     index_repair: IndexRepair,
     failed: bool,
@@ -620,7 +421,7 @@ impl StreamDecoder {
             computed: Vec::new(),
             decoded_so_far: 0,
             payload_pos: 0,
-            out_crc: Crc32::new(),
+            data_crc: 0,
             correction: CorrectionReport::default(),
             index_repair: IndexRepair::default(),
             failed: false,
@@ -658,7 +459,7 @@ impl StreamDecoder {
         let (meta, _) = self
             .header
             .ok_or_else(|| ArcError::Corrupted("stream decoder lost its header".into()))?;
-        if self.out_crc.finalize() != meta.data_crc {
+        if self.data_crc != meta.data_crc {
             return Err(ArcError::Corrupted("data CRC mismatch after repair".into()));
         }
         Ok(StreamDecodeStats {
@@ -789,7 +590,7 @@ impl StreamDecoder {
             .get(..dlen)
             .ok_or_else(|| ArcError::Corrupted("shard buffer mis-sized".into()))?;
         let crc = crc32(shard);
-        self.out_crc.update(shard);
+        self.data_crc = crc32_combine(self.data_crc, crc, dlen);
         out.extend_from_slice(shard);
         arc_telemetry::counter_add("stream.decode.shards", 1);
         arc_telemetry::counter_add("stream.decode.bytes", dlen as u64);
@@ -824,19 +625,6 @@ impl StreamDecoder {
     }
 }
 
-/// Workers worth dispatching for a batch totalling `total` bytes — the
-/// same bytes-per-thread floor [`ParallelCodec::effective_workers`]
-/// applies, but over the batch's *aggregate* size, which is the point of
-/// coalescing: many below-floor requests still fill a pool.
-fn batch_workers(config: &EccConfig, threads: usize, total: usize) -> usize {
-    let threads = resolve_threads(threads);
-    if threads <= 1 {
-        return 1;
-    }
-    let floor = config.min_bytes_per_thread().max(1);
-    threads.min(total / floor).max(1)
-}
-
 /// Encode many independent requests as one flat pool pass.
 ///
 /// Each element of the result is byte-identical to
@@ -850,7 +638,7 @@ pub fn encode_batch(
     threads: usize,
 ) -> Result<Vec<Vec<u8>>, ArcError> {
     let _span = arc_telemetry::span("stream.encode_batch");
-    let codec = ParallelCodec::with_chunk_size(config, 1, DEFAULT_CHUNK_SIZE)?;
+    let codec = ParallelCodec::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)?;
     let total: usize = requests.iter().map(|d| d.len()).sum();
     arc_telemetry::counter_add("stream.batch.requests", requests.len() as u64);
     arc_telemetry::counter_add("stream.batch.bytes", total as u64);
@@ -877,13 +665,17 @@ pub fn encode_batch(
         dst.copy_from_slice(src);
         config.encode_parity_into(src, parity);
     };
-    run_batch(&mut jobs, batch_workers(&config, threads, total), run);
+    // The bytes-per-thread floor applies to the batch's *aggregate* size,
+    // which is the point of coalescing: many below-floor requests still
+    // fill a pool.
+    run_batch(&mut jobs, codec.effective_workers(total), run);
     Ok(outs.into_iter().map(|(out, _)| out).collect())
 }
 
 /// Run `run` over every job on a fresh `workers`-thread pool, or inline
-/// when one worker (or one job) suffices or no pool can be built.
-fn run_batch<T: Send>(jobs: &mut [T], workers: usize, run: impl Fn(&mut T) + Send + Sync) {
+/// when one worker (or one job) suffices or no pool can be built. Returns
+/// whether the pool ran.
+fn run_batch<T: Send>(jobs: &mut [T], workers: usize, run: impl Fn(&mut T) + Send + Sync) -> bool {
     let pool = (workers > 1 && jobs.len() > 1)
         .then(|| {
             rayon::ThreadPoolBuilder::new()
@@ -893,10 +685,12 @@ fn run_batch<T: Send>(jobs: &mut [T], workers: usize, run: impl Fn(&mut T) + Sen
                 .ok()
         })
         .flatten();
-    match pool {
-        Some(pool) => pool.install(|| jobs.par_iter_mut().for_each(run)),
-        None => jobs.iter_mut().for_each(run),
-    }
+    let Some(pool) = pool else {
+        jobs.iter_mut().for_each(run);
+        return false;
+    };
+    pool.install(|| jobs.par_iter_mut().for_each(run));
+    true
 }
 
 /// Per-container outcome of [`decode_batch`]: the decoded bytes and report,
@@ -945,23 +739,30 @@ mod tests {
         assert_eq!(got, one_shot(&data, 8 << 10));
         assert_eq!(stats.shards, data.len().div_ceil(8 << 10));
         assert_eq!(stats.container_len, got.len());
-        assert_eq!(stats.workers, 0);
+        assert_eq!(stats.workers, 1);
+        assert_eq!(stats.backpressure_waits, 0);
     }
 
+    /// Threaded passes, fed through staging (small pushes) and zero-copy
+    /// (large pushes), produce the inline bytes.
     #[test]
-    fn threaded_ring_matches_inline() {
+    fn threaded_passes_match_inline() {
         let data = sample(70_000);
         let base = StreamOptions { shard_size: 4 << 10, ..StreamOptions::default() };
         let reference = one_shot(&data, 4 << 10);
-        for (threads, ring) in [(2, 1), (2, 2), (4, 3)] {
-            let opts = StreamOptions { threads, ring, ..base };
-            let mut enc = StreamEncoder::new(Vec::new(), EccConfig::secded(true), opts).unwrap();
-            for piece in data.chunks(999) {
-                enc.push(piece).unwrap();
+        for threads in [2, 3, 4] {
+            for piece in [999, 20_000] {
+                let opts = StreamOptions { threads, ..base };
+                let mut enc =
+                    StreamEncoder::new(Vec::new(), EccConfig::secded(true), opts).unwrap();
+                for piece in data.chunks(piece) {
+                    enc.push(piece).unwrap();
+                }
+                let (got, stats) = enc.finish().unwrap();
+                assert_eq!(got, reference, "threads={threads} piece={piece}");
+                assert_eq!(stats.workers, threads);
+                assert!(stats.backpressure_waits > 0, "passes should have run on the pool");
             }
-            let (got, stats) = enc.finish().unwrap();
-            assert_eq!(got, reference, "threads={threads} ring={ring}");
-            assert!(stats.workers >= 1, "ring should have spawned workers");
         }
     }
 
@@ -1057,9 +858,9 @@ mod tests {
         assert_eq!(got, one_shot, "streamed container must match the one-shot bytes");
         assert_eq!(stats.shards, data.len().div_ceil(16 << 10));
 
-        // The threaded ring runs the same scheme behind its `Arc` and must
+        // Threaded passes run the same scheme behind its `Arc` and must
         // produce the same bytes.
-        let threaded = StreamOptions { threads: 2, ring: 2, ..opts };
+        let threaded = StreamOptions { threads: 2, ..opts };
         let mut enc =
             StreamEncoder::new(Vec::new(), scheme, threaded).expect("threaded registry encoder");
         enc.push(&data).unwrap();

@@ -48,17 +48,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Streaming encode ≡ one-shot sharded encode, for any partition of
-    /// the input into pushes, any scheme, any shard size.
+    /// the input into pushes, any scheme, any shard size, any thread count
+    /// (multi-shard passes, staged and zero-copy).
     #[test]
     fn stream_encode_matches_one_shot(
         config in arb_config(),
         data_len in 0usize..20_000,
         shard_size in 1usize..6_000,
         sizes in proptest::collection::vec(1usize..4096, 0..12),
+        threads in 1usize..4,
     ) {
         let data = payload(data_len);
         let reference = arc_engine_encode_sharded(&data, config, 1, shard_size).unwrap();
-        let opts = StreamOptions { shard_size, ..StreamOptions::default() };
+        let opts = StreamOptions { threads, shard_size };
         let mut enc = StreamEncoder::new(Vec::new(), config, opts).unwrap();
         push_partitioned(&mut enc, &data, &sizes).unwrap();
         let (got, stats) = enc.finish().unwrap();

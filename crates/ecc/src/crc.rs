@@ -131,9 +131,105 @@ pub fn crc32_zero_padded(data: &[u8], pad: usize) -> u32 {
     h.finalize()
 }
 
+/// `a · b mod P` over GF(2) in the reflected bit order the CRC uses (bit
+/// 31 is the x⁰ coefficient).
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0u32;
+    let mut i = 0;
+    while i < 32 {
+        if a & (1 << (31 - i)) != 0 {
+            p ^= b;
+        }
+        b = if b & 1 != 0 { (b >> 1) ^ POLY } else { b >> 1 };
+        i += 1;
+    }
+    p
+}
+
+/// `X2N[k]` = x^(2^k) mod P.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    let mut p = 1u32 << 30; // x¹
+    let mut k = 0;
+    while k < 32 {
+        t[k] = p;
+        p = multmodp(p, p);
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 of `A ‖ B` from `crc_a = crc32(A)`, `crc_b = crc32(B)` and
+/// `len_b = B.len()`, without touching the bytes (zlib's
+/// `crc32_combine`): shifting A's remainder past B's bytes is a multiply
+/// by x^(8·len_b) mod P, assembled from the `X2N` powers. O(log len_b).
+pub fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    let mut shift = 1u32 << 31; // x⁰
+    let mut n = len_b;
+    for &x2n in X2N.iter().cycle().skip(3) {
+        if n == 0 {
+            break;
+        }
+        if n & 1 != 0 {
+            shift = multmodp(x2n, shift);
+        }
+        n >>= 1;
+    }
+    multmodp(shift, crc_a) ^ crc_b
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn split_check(data: &[u8], at: usize) {
+        let (a, b) = data.split_at(at);
+        assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(data), "split at {at}");
+    }
+
+    #[test]
+    fn combine_matches_concatenation() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i.wrapping_mul(2654435761) >> 13) as u8).collect();
+        // Empty halves on either side.
+        split_check(&data, 0);
+        split_check(&data, data.len());
+        assert_eq!(crc32_combine(0, 0, 0), 0);
+        // Lengths around the 16-byte slice boundary, on both sides.
+        for len in [1usize, 15, 16, 17, 31, 32, 33] {
+            split_check(&data[..len + 40], 40);
+            split_check(&data[..len + 40], len);
+        }
+        // Pseudo-random splits of pseudo-random lengths.
+        let mut x = 0x2545_F491u32;
+        for _ in 0..200 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let len = x as usize % (data.len() + 1);
+            let at = (x >> 9) as usize % (len + 1);
+            split_check(&data[..len], at);
+        }
+    }
+
+    #[test]
+    fn x2n_powers_cycle_with_period_32() {
+        // `crc32_combine` wraps to X2N[0] once len_b reaches 2^29 bytes;
+        // that is sound because x^(2^32) ≡ x mod P.
+        assert_eq!(multmodp(X2N[31], X2N[31]), X2N[0]);
+    }
+
+    #[test]
+    fn combine_with_zeros_matches_zero_padding() {
+        let head = b"shard payload";
+        let zeros = vec![0u8; 3 << 20];
+        for n in [0usize, 1, 15, 16, 17, 255, 256, 4097, 1 << 20, (3 << 20) - 1, 3 << 20] {
+            assert_eq!(
+                crc32_combine(crc32(head), crc32(&zeros[..n]), n),
+                crc32_zero_padded(head, n),
+                "n={n}"
+            );
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -3,10 +3,11 @@
 //! One-shot `arc_encode` needs the whole input in memory. A long-running
 //! ingest service (sensor telemetry, checkpoint streams) cannot afford
 //! that, so this example pushes an "endless" feed of odd-sized packets
-//! through [`arc::StreamEncoder`]: bytes are sharded as they arrive, each
-//! full shard is ECC-encoded through a bounded ring of in-flight jobs
-//! (back-pressure caps peak memory at O(ring × shard) however long the
-//! feed runs), and v2 container bytes are emitted incrementally. The
+//! through [`arc::StreamEncoder`]: bytes are sharded as they arrive, full
+//! shards are ECC-encoded in passes of up to `threads` shards (each pass
+//! finishes before `push` returns, which caps peak memory at
+//! O(threads × shard) however long the feed runs), and v2 container bytes
+//! are emitted incrementally. The
 //! result is byte-identical to the one-shot sharded encode — every golden
 //! snapshot and reader keeps working.
 //!
@@ -29,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Packets arrive in irregular sizes; the encoder neither knows nor
     // cares about the total length in advance.
     let config = EccConfig::secded(true);
-    let opts = StreamOptions { shard_size: SHARD, ring: 4, ..StreamOptions::default() };
+    let opts = StreamOptions { threads: 2, shard_size: SHARD };
     let mut encoder = StreamEncoder::new(Vec::new(), config, opts)?;
 
     let mut feed = Vec::with_capacity(FEED_BYTES); // kept only to verify below
@@ -47,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (container, stats) = encoder.finish()?;
     println!(
         "ingested {} B in shards of {} B -> container {} B \
-         ({} shards, {} ring workers, {} back-pressure waits)",
+         ({} shards, up to {} per pass, {} parallel passes)",
         stats.data_len,
         SHARD,
         stats.container_len,
