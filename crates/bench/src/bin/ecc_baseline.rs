@@ -5,7 +5,10 @@
 //! built-in scheme across a thread sweep of {1, 2, max}
 //! (`available_parallelism`, recorded as `max_threads`; duplicate points
 //! are collapsed), then prints a JSON document (hand-rolled — the repo
-//! takes no serde dependency). Each row carries `effective_workers` (the
+//! takes no serde dependency). Every figure is the median of its timed
+//! reps, and each row carries the min and max throughput beside it: a
+//! bimodal host shows up as a wide min–max range instead of being hidden
+//! by a best-of-N. Each row carries `effective_workers` (the
 //! worker count after the bytes-per-thread floor of DESIGN.md §13 — a
 //! probe below the floor runs sequentially even when the codec owns a
 //! pool) and `scaling_efficiency` (encode MiB/s at `threads` divided by
@@ -24,7 +27,7 @@
 //!
 //! Single-thread rows also carry a per-stage breakdown of the encode path
 //! (`stage_copy_s` for the data memcpy, `stage_parity_s` for the per-chunk
-//! parity kernels); the stages are measured directly — not through the
+//! parity kernels, medians like everything else); the stages are measured directly — not through the
 //! telemetry feature — so the numbers are valid in the default build, and
 //! their sum is expected to land within 5% of `encode_s`. Redirect to the
 //! repo root to refresh the committed baseline:
@@ -40,9 +43,9 @@ use arc_ecc::{EccScheme, ParallelCodec};
 
 const PROBE_BYTES: usize = 4 << 20;
 const RS_PROBE_BYTES: usize = 1 << 20;
-const REPS: usize = 5;
+const REPS: usize = 9;
 /// Round-robin reps for the encode-stage breakdown (total, copy, parity
-/// measured in turn so noise hits all three alike; min of each).
+/// measured in turn so noise hits all three alike; median of each).
 const STAGE_REPS: usize = 15;
 /// Correctable soft errors injected for the corrupt-decode column.
 const INJECT_ERRORS: usize = 500;
@@ -58,34 +61,63 @@ fn one_sec(f: impl FnOnce()) -> f64 {
     t.elapsed().as_secs_f64()
 }
 
-/// Best-of-`REPS` wall time for `f`, in seconds.
-fn best_secs(mut f: impl FnMut()) -> f64 {
+/// Median, fastest and slowest of a set of timed reps, in seconds.
+#[derive(Clone, Copy)]
+struct Spread {
+    median: f64,
+    min: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut secs: Vec<f64>) -> Spread {
+        secs.sort_by(f64::total_cmp);
+        let n = secs.len();
+        let median = (secs[(n - 1) / 2] + secs[n / 2]) / 2.0;
+        Spread { median, min: secs[0], max: secs[n - 1] }
+    }
+
+    /// `"<name>_mib_s": median, "<name>_min_mib_s": …, "<name>_max_mib_s": …`
+    /// for `bytes` processed per rep; the slowest rep is the min throughput.
+    fn mib_s_fields(&self, name: &str, bytes: usize) -> String {
+        let mbps = |secs: f64| bytes as f64 / secs / (1 << 20) as f64;
+        format!(
+            "\"{name}_mib_s\": {:.1}, \"{name}_min_mib_s\": {:.1}, \"{name}_max_mib_s\": {:.1}",
+            mbps(self.median),
+            mbps(self.max),
+            mbps(self.min)
+        )
+    }
+}
+
+/// Wall time of `REPS` calls to `f` after one warm-up call.
+fn time_reps(mut f: impl FnMut()) -> Spread {
     f(); // warm up
-    (0..REPS)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+    Spread::of((0..REPS).map(|_| one_sec(&mut f)).collect())
 }
 
-/// Decode throughput against a pre-corrupted template, refreshing the
-/// working buffer from the template each rep and subtracting the measured
+/// Decode time against a pre-corrupted template, refreshing the working
+/// buffer from the template each rep and subtracting that rep's measured
 /// memcpy cost so the column isolates verify-and-correct work.
-fn corrupt_decode_secs(codec: &ParallelCodec, template: &[u8], data_len: usize) -> f64 {
+fn corrupt_decode_secs(codec: &ParallelCodec, template: &[u8], data_len: usize) -> Spread {
     let mut work = template.to_vec();
-    let copy = best_secs(|| work.copy_from_slice(template));
-    let total = best_secs(|| {
-        work.copy_from_slice(template);
-        codec.decode_in_place(&mut work, data_len).expect("correctable decode");
-    });
-    (total - copy).max(f64::MIN_POSITIVE)
+    codec.decode_in_place(&mut work, data_len).expect("correctable decode"); // warm up
+    let secs = (0..REPS)
+        .map(|_| {
+            let copy = one_sec(|| work.copy_from_slice(template));
+            let total = one_sec(|| {
+                work.copy_from_slice(template);
+                codec.decode_in_place(&mut work, data_len).expect("correctable decode");
+            });
+            (total - copy).max(f64::MIN_POSITIVE)
+        })
+        .collect();
+    Spread::of(secs)
 }
 
-/// Time the range-read path: best-of-reps `decode_range` of one
-/// shard-sized slice vs a full `arc_engine_decode`, both over the same v2
-/// container. Returns `(full_s, range_s)`.
+/// Time the range-read path: `decode_range` of one shard-sized slice vs a
+/// full `arc_engine_decode`, both over the same v2 container. Returns the
+/// median `(full_s, range_s)`.
 fn range_probe(data: &[u8], shard_size: usize) -> (f64, f64) {
     let config = arc_ecc::EccConfig::secded(true);
     let encoded =
@@ -93,15 +125,15 @@ fn range_probe(data: &[u8], shard_size: usize) -> (f64, f64) {
     // Slice in the middle, aligned to nothing in particular.
     let offset = data.len() / 2 + 37;
     let len = shard_size / 2;
-    let full = best_secs(|| {
+    let full = time_reps(|| {
         arc_core::arc_engine_decode(&encoded, 1).expect("full decode");
     });
-    let range = best_secs(|| {
+    let range = time_reps(|| {
         // Cold reader, zero cache: every rep pays real per-shard decode.
         let mut reader = arc_core::ArcReader::with_cache_capacity(&encoded, 1, 0).expect("reader");
         reader.decode_range(offset, len).expect("range decode");
     });
-    (full, range)
+    (full.median, range.median)
 }
 
 fn main() {
@@ -135,14 +167,14 @@ fn main() {
                 let mut container = vec![0u8; codec.encoded_len(data.len())];
                 let (data_out, parity_out) = container.split_at_mut(data.len());
                 codec.encode_into(&data, &mut out); // warm up
-                let (mut enc, mut copy, mut par) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+                let (mut enc, mut copy, mut par) = (Vec::new(), Vec::new(), Vec::new());
                 for _ in 0..STAGE_REPS {
-                    enc = enc.min(one_sec(|| codec.encode_into(&data, &mut out)));
-                    copy = copy.min(one_sec(|| {
+                    enc.push(one_sec(|| codec.encode_into(&data, &mut out)));
+                    copy.push(one_sec(|| {
                         data_out.copy_from_slice(&data);
                         std::hint::black_box(&mut *data_out);
                     }));
-                    par = par.min(one_sec(|| {
+                    par.push(one_sec(|| {
                         let mut rest = &mut *parity_out;
                         for chunk in data.chunks(codec.chunk_size()) {
                             let (p, r) = rest.split_at_mut(config.parity_len(chunk.len()));
@@ -152,19 +184,22 @@ fn main() {
                         std::hint::black_box(&mut *parity_out);
                     }));
                 }
-                if ((copy + par) - enc).abs() > 0.05 * enc {
+                let (enc, copy, par) =
+                    (Spread::of(enc), Spread::of(copy).median, Spread::of(par).median);
+                if ((copy + par) - enc.median).abs() > 0.05 * enc.median {
                     eprintln!(
                         "warning: {name} stage sum {:.3e}s deviates >5% from \
-                         encode {enc:.3e}s",
-                        copy + par
+                         encode {:.3e}s",
+                        copy + par,
+                        enc.median
                     );
                 }
                 (enc, Some((copy, par)))
             } else {
-                (best_secs(|| codec.encode_into(&data, &mut out)), None)
+                (time_reps(|| codec.encode_into(&data, &mut out)), None)
             };
             let mut encoded = codec.encode(&data);
-            let dec = best_secs(|| {
+            let dec = time_reps(|| {
                 codec.decode_in_place(&mut encoded, data.len()).expect("clean decode");
             });
             // Corrupt-decode column: parity-only schemes detect but cannot
@@ -182,15 +217,17 @@ fn main() {
                 corrupt_decode_secs(&codec, &template, data.len())
             });
             let mbps = |secs: f64| len as f64 / secs / (1 << 20) as f64;
-            let corrupt_field = match corrupt {
-                Some(secs) => format!("{:.1}", mbps(secs)),
-                None => "null".to_string(),
+            let corrupt_fields = match corrupt {
+                Some(secs) => secs.mib_s_fields("decode_corrupt", len),
+                None => ["", "_min", "_max"]
+                    .map(|k| format!("\"decode_corrupt{k}_mib_s\": null"))
+                    .join(", "),
             };
             let (copy_field, parity_field) = match stages {
                 Some((c, p)) => (format!("{c:.6e}"), format!("{p:.6e}")),
                 None => ("null".to_string(), "null".to_string()),
             };
-            let enc_mbps = mbps(enc);
+            let enc_mbps = mbps(enc.median);
             if threads == 1 {
                 base_mbps = Some(enc_mbps);
             }
@@ -203,9 +240,7 @@ fn main() {
             entries.push(format!(
                 concat!(
                     "    {{\"scheme\": \"{}\", \"threads\": {}, \"effective_workers\": {}, ",
-                    "\"bytes\": {}, ",
-                    "\"encode_mib_s\": {:.1}, \"decode_clean_mib_s\": {:.1}, ",
-                    "\"decode_corrupt_mib_s\": {}, \"scaling_efficiency\": {}, ",
+                    "\"bytes\": {}, {}, {}, {}, \"scaling_efficiency\": {}, ",
                     "\"encode_s\": {:.6e}, ",
                     "\"stage_copy_s\": {}, \"stage_parity_s\": {}}}"
                 ),
@@ -213,11 +248,11 @@ fn main() {
                 threads,
                 codec.effective_workers(len),
                 len,
-                enc_mbps,
-                mbps(dec),
-                corrupt_field,
+                enc.mib_s_fields("encode", len),
+                dec.mib_s_fields("decode_clean", len),
+                corrupt_fields,
                 efficiency,
-                enc,
+                enc.median,
                 copy_field,
                 parity_field
             ));
@@ -257,6 +292,7 @@ fn main() {
     println!("  \"bench\": \"ecc_throughput\",");
     println!("  \"unit\": \"MiB/s\",");
     println!("  \"reps\": {REPS},");
+    println!("  \"estimator\": \"median of reps; min/max beside each median\",");
     println!("  \"max_threads\": {max_threads},");
     // Core count of the recording machine: scripts/bench_ecc.sh refuses to
     // compare scaling points recorded on different hardware.

@@ -805,7 +805,8 @@ impl Layout {
 
     /// The full-decode body: repair every shard with [`decode_shard`],
     /// leave the original data in `buf[..data_len]`, check the whole-data
-    /// CRC, and report what was repaired.
+    /// CRC (folded from the verified shard CRCs, so the data is read once),
+    /// and report what was repaired.
     ///
     /// With `src` set to the container's payload region, `buf` is scratch
     /// of `data_len` plus the largest shard's parity, and each shard is
@@ -819,6 +820,7 @@ impl Layout {
         src: Option<&[u8]>,
     ) -> Result<ArcDecodeReport, ArcError> {
         let mut correction = CorrectionReport::default();
+        let mut data_crc = 0u32;
         let mut pos = 0usize;
         for (i, e) in self.index.entries.iter().enumerate() {
             let from = e.offset..e.offset + e.encoded_len;
@@ -837,12 +839,12 @@ impl Layout {
                 .and_then(|()| buf.get_mut(to))
                 .ok_or_else(|| ArcError::Corrupted(format!("shard {i}: region exceeds payload")))?;
             correction.merge(&decode_shard(&self.codec, region, e, i, true)?);
+            data_crc = crc32_combine(data_crc, e.crc, e.decoded_len);
             pos += e.decoded_len;
         }
-        // v1's single shard already checked the whole-data CRC.
-        if self.index_repair.is_some()
-            && buf.get(..self.meta.data_len).map(crc32) != Some(self.meta.data_crc)
-        {
+        // v1's single shard already checked the whole-data CRC; a v2 one is
+        // folded from the shard CRCs `decode_shard` just verified.
+        if self.index_repair.is_some() && data_crc != self.meta.data_crc {
             return Err(ArcError::Ecc(arc_ecc::EccError::Uncorrectable {
                 scheme: self.codec.config().name(),
                 detail: "end-to-end CRC mismatch after ECC decode".into(),

@@ -5,8 +5,8 @@
 //! service layer (DESIGN.md §14):
 //!
 //! * [`StreamEncoder`] — accepts data in arbitrary-size pushes and encodes
-//!   it in passes of up to `threads` whole shards, one job per shard on the
-//!   same pool helper the batch front-end uses. A pass finishes before
+//!   it in passes of up to `threads` whole shards, one job per shard on
+//!   [`run_jobs`], the dispatch every ECC pass uses. A pass finishes before
 //!   `push` returns, so peak buffering is `threads` × (shard + encoded
 //!   shard) regardless of input size. Emits v2 container bytes to a
 //!   [`StreamSink`]. The finished container is **byte-identical** to
@@ -25,10 +25,11 @@
 //!   requests into one flat pool pass so requests below the per-scheme
 //!   bytes-per-thread floor still fill all workers in aggregate.
 
+use std::convert::Infallible;
+
 use arc_ecc::crc::{crc32, crc32_combine};
-use arc_ecc::parallel::{resolve_threads, DEFAULT_CHUNK_SIZE};
-use arc_ecc::{CorrectionReport, EccConfig, EccScheme, ParallelCodec};
-use rayon::prelude::*;
+use arc_ecc::parallel::{resolve_threads, run_jobs, DEFAULT_CHUNK_SIZE};
+use arc_ecc::{CorrectionReport, EccConfig, ParallelCodec};
 
 use crate::container::{
     self, ContainerMeta, IndexRepair, SchemeCodec, ShardEntry, ShardingMeta, DEFAULT_SHARD_SIZE,
@@ -226,7 +227,7 @@ impl<S: StreamSink> StreamEncoder<S> {
 
     /// Encode `data` — at most `workers` shards, only the last of which
     /// may be short — as one job per shard (`encode_into` + the shard CRC)
-    /// on [`run_batch`], then write each shard at its precomputed payload
+    /// on [`run_jobs`], then write each shard at its precomputed payload
     /// offset and fold its CRC into the whole-data CRC.
     fn encode_pass(&mut self, data: &[u8]) -> Result<(), ArcError> {
         let first = self.entries.len();
@@ -240,25 +241,27 @@ impl<S: StreamSink> StreamEncoder<S> {
         if self.outs.len() < entries.len() {
             self.outs.resize_with(entries.len(), Vec::new);
         }
-        let mut jobs: Vec<_> = data
-            .chunks(self.shard_size)
-            .zip(entries.iter_mut())
-            .zip(self.outs.iter_mut())
-            .map(|((shard, entry), out)| (shard, entry, out))
-            .collect();
         let codec = &self.codec;
-        let parallel = run_batch(&mut jobs, self.workers, |(shard, entry, out)| {
-            // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
-            out.resize(entry.encoded_len, 0);
-            codec.encode_into(shard, out);
-            entry.crc = crc32(shard);
-        });
-        for (shard, entry, out) in &jobs {
+        let jobs = data.chunks(self.shard_size).zip(entries.iter_mut()).zip(self.outs.iter_mut());
+        let Ok(parallel) = run_jobs(
+            jobs,
+            self.workers,
+            |((shard, entry), out)| {
+                // arc-lint: bounded(encoded_len computed by the codec from the caller's shard, not decoded input)
+                out.resize(entry.encoded_len, 0);
+                codec.encode_into(shard, out);
+                entry.crc = crc32(shard);
+                Ok::<(), Infallible>(())
+            },
+            |()| {},
+        );
+        let entries = self.entries.get(first..).unwrap_or_default();
+        for ((shard, entry), out) in data.chunks(self.shard_size).zip(entries).zip(&self.outs) {
             self.sink.write_at(self.hlen + entry.offset, out)?;
             self.data_crc = crc32_combine(self.data_crc, entry.crc, shard.len());
         }
         self.data_len += data.len();
-        arc_telemetry::counter_add("stream.encode.shards", jobs.len() as u64);
+        arc_telemetry::counter_add("stream.encode.shards", entries.len() as u64);
         if parallel {
             self.backpressure_waits += 1;
             arc_telemetry::counter_add("stream.encode.backpressure_waits", 1);
@@ -647,50 +650,17 @@ pub fn encode_batch(
         .iter()
         .map(|data| container::frame_monolithic(data, &codec, &scheme_id))
         .collect::<Result<Vec<_>, _>>()?;
-    // One flat chunk-job list across every request, same shape as
-    // `ParallelCodec::encode_sharded_into`'s shard flattening.
-    let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> = Vec::new();
-    for (data, (out, hlen)) in requests.iter().zip(outs.iter_mut()) {
-        let region = &mut out[*hlen..];
-        let (mut data_rest, mut parity_rest) = region.split_at_mut(data.len());
-        for chunk in data.chunks(codec.chunk_size()) {
-            let (d, rest) = data_rest.split_at_mut(chunk.len());
-            data_rest = rest;
-            let (p, rest) = parity_rest.split_at_mut(config.parity_len(chunk.len()));
-            parity_rest = rest;
-            jobs.push((chunk, d, p));
-        }
-    }
-    let run = |(src, dst, parity): &mut (&[u8], &mut [u8], &mut [u8])| {
-        dst.copy_from_slice(src);
-        config.encode_parity_into(src, parity);
-    };
-    // The bytes-per-thread floor applies to the batch's *aggregate* size,
-    // which is the point of coalescing: many below-floor requests still
-    // fill a pool.
-    run_batch(&mut jobs, codec.effective_workers(total), run);
+    // One region per request: the codec flattens their chunk jobs into one
+    // pass and applies the bytes-per-thread floor to the batch's
+    // *aggregate* size, which is the point of coalescing: many below-floor
+    // requests still fill a pool.
+    let mut regions: Vec<(&[u8], &mut [u8])> = requests
+        .iter()
+        .zip(outs.iter_mut())
+        .map(|(data, (out, hlen))| (*data, &mut out[*hlen..]))
+        .collect();
+    codec.encode_regions_into(&mut regions);
     Ok(outs.into_iter().map(|(out, _)| out).collect())
-}
-
-/// Run `run` over every job on a fresh `workers`-thread pool, or inline
-/// when one worker (or one job) suffices or no pool can be built. Returns
-/// whether the pool ran.
-fn run_batch<T: Send>(jobs: &mut [T], workers: usize, run: impl Fn(&mut T) + Send + Sync) -> bool {
-    let pool = (workers > 1 && jobs.len() > 1)
-        .then(|| {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(workers)
-                .thread_name(|i| format!("arc-batch-{i}"))
-                .build()
-                .ok()
-        })
-        .flatten();
-    let Some(pool) = pool else {
-        jobs.iter_mut().for_each(run);
-        return false;
-    };
-    pool.install(|| jobs.par_iter_mut().for_each(run));
-    true
 }
 
 /// Per-container outcome of [`decode_batch`]: the decoded bytes and report,
@@ -705,13 +675,14 @@ type DecodeOutcome = Result<(Vec<u8>, ArcDecodeReport), ArcError>;
 pub fn decode_batch(containers: &[&[u8]], threads: usize) -> Vec<DecodeOutcome> {
     let _span = arc_telemetry::span("stream.decode_batch");
     arc_telemetry::counter_add("stream.batch.requests", containers.len() as u64);
-    let mut jobs: Vec<(&[u8], Option<DecodeOutcome>)> =
-        containers.iter().map(|bytes| (*bytes, None)).collect();
-    let run = |(bytes, slot): &mut (&[u8], Option<_>)| *slot = Some(decode_with_threads(bytes, 1));
-    run_batch(&mut jobs, resolve_threads(threads).min(containers.len()), run);
-    jobs.into_iter()
-        .map(|(_, s)| s.unwrap_or_else(|| Err(ArcError::Io("batch slot unfilled".into()))))
-        .collect()
+    let mut outcomes = Vec::with_capacity(containers.len());
+    let Ok(_) = run_jobs(
+        containers.iter().copied(),
+        resolve_threads(threads).min(containers.len()),
+        |bytes| Ok::<_, Infallible>(decode_with_threads(bytes, 1)),
+        |outcome| outcomes.push(outcome),
+    );
+    outcomes
 }
 
 #[cfg(test)]

@@ -162,3 +162,36 @@ fn every_builtin_scheme_streams_identically() {
         assert_eq!(out, data, "{}", config.id());
     }
 }
+
+/// `batch_matches_singletons` above the bytes-per-thread floor: RS(16,4)
+/// requests totalling over 3 MiB give a 2-thread batch two workers, so its
+/// encode pass really runs on the pool. Pool and inline batches give the
+/// same bytes, and the same reports and errors on damaged containers.
+#[test]
+fn batch_above_the_floor_matches_singletons_and_inline() {
+    let config = EccConfig::rs(16, 4).unwrap();
+    let reqs: Vec<Vec<u8>> =
+        [1_500_000usize, 700_000, 1_000, 950_000].iter().map(|l| payload(*l)).collect();
+    let refs: Vec<&[u8]> = reqs.iter().map(|r| r.as_slice()).collect();
+    let total = reqs.iter().map(Vec::len).sum();
+    assert_eq!(arc_ecc::ParallelCodec::new(config, 2).unwrap().effective_workers(total), 2);
+    let pooled = encode_batch(&refs, config, 2).unwrap();
+    assert_eq!(pooled, encode_batch(&refs, config, 1).unwrap());
+    for (req, got) in reqs.iter().zip(&pooled) {
+        assert_eq!(got, &arc_engine_encode(req, config, 1).unwrap());
+    }
+    // Request 0 takes one repairable flip; request 3 loses a third of its
+    // bytes, far past what m = 4 parity devices can rebuild.
+    let mut damaged = pooled.clone();
+    let mid = damaged[0].len() / 2;
+    damaged[0][mid] ^= 0x10;
+    let len = damaged[3].len();
+    damaged[3][len / 3..2 * len / 3].fill(0xEE);
+    let containers: Vec<&[u8]> = damaged.iter().map(|b| b.as_slice()).collect();
+    let outcomes = decode_batch(&containers, 2);
+    assert_eq!(outcomes, decode_batch(&containers, 1));
+    let (data, report) = outcomes[0].as_ref().unwrap();
+    assert_eq!(data, &reqs[0]);
+    assert!(!report.correction.is_clean());
+    assert!(outcomes[3].is_err());
+}

@@ -70,12 +70,6 @@ impl<S: EccScheme> EccScheme for Interleaved<S> {
         self.inner.storage_overhead()
     }
 
-    fn encode_parity(&self, data: &[u8]) -> Vec<u8> {
-        let mut parity = vec![0u8; self.parity_len(data.len())];
-        self.encode_parity_into(data, &mut parity);
-        parity
-    }
-
     fn encode_parity_into(&self, data: &[u8], parity: &mut [u8]) {
         assert_eq!(parity.len(), self.parity_len(data.len()), "parity region size mismatch");
         let mut lane = Vec::with_capacity(self.lane_len(data.len(), 0));

@@ -3,8 +3,7 @@
 //! The paper parallelizes every ECC method with OpenMP and caps resource use
 //! at the thread count given to `arc_init()` (§5.1). This module is the Rust
 //! equivalent: input is split into fixed-size chunks, each chunk is encoded
-//! or verified independently on a dedicated rayon thread pool whose size the
-//! caller controls, and per-chunk correction reports are merged.
+//! or verified independently, and per-chunk correction reports are merged.
 //!
 //! Encoded layout: `data ‖ parity₀ ‖ parity₁ ‖ …` — chunk parity regions
 //! follow the (unmodified) data in order. Because every scheme's parity
@@ -14,12 +13,22 @@
 //!
 //! The data path is zero-copy scatter-write: [`ParallelCodec::encode_into`]
 //! carves a caller-provided buffer into disjoint `&mut [u8]` regions (one
-//! data chunk and one parity region per chunk) and each worker writes its
+//! data chunk and one parity region per chunk) and each job writes its
 //! regions in place via [`EccScheme::encode_parity_into`] — no per-chunk
 //! allocation and no concatenation pass. [`ParallelCodec::encode`] is a thin
 //! wrapper that makes exactly one heap allocation for the whole container.
 //! On the read side [`ParallelCodec::decode_in_place`] verifies and repairs
 //! the payload where it lies; a clean decode copies nothing.
+//!
+//! Every ECC pass has one carve and one dispatch. `chunk_regions` is the
+//! only place a `data ‖ parity` region is split into per-chunk jobs; the
+//! encode side feeds it any number of `(data, out)` region pairs
+//! ([`ParallelCodec::encode_regions_into`]: one pair for `encode_into`, one
+//! per shard for `encode_sharded_into`, one per request for the batch
+//! front-end). [`run_jobs`] is the only place a thread pool is built: it
+//! runs a job list inline or on a pool and folds the results in job order.
+
+use std::convert::Infallible;
 
 use rayon::prelude::*;
 
@@ -48,32 +57,67 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
+/// Run `run_job` over every job and hand each `Ok` result to `fold`, in
+/// job order. The first `Err` in job order is returned and nothing after it
+/// is folded. Returns `Ok(true)` when the jobs ran on a pool.
+///
+/// With `workers <= 1` the jobs run one by one on the calling thread,
+/// straight off the iterator: nothing is allocated and the first `Err`
+/// stops the pass. Otherwise the jobs are collected; a single job (or a
+/// pool that cannot be built) still runs inline, and more run on a
+/// `workers`-thread pool before their results are folded. This is ARC's
+/// one thread-pool dispatch point.
+pub fn run_jobs<J: Send, R: Send, E: Send>(
+    jobs: impl IntoIterator<Item = J>,
+    workers: usize,
+    run_job: impl Fn(&mut J) -> Result<R, E> + Sync,
+    mut fold: impl FnMut(R),
+) -> Result<bool, E> {
+    let mut inline = |jobs: &mut dyn Iterator<Item = J>| {
+        for mut job in jobs {
+            fold(run_job(&mut job)?);
+        }
+        Ok(false)
+    };
+    if workers <= 1 {
+        return inline(&mut jobs.into_iter());
+    }
+    let mut jobs: Vec<J> = jobs.into_iter().collect();
+    let pool = (jobs.len() > 1)
+        .then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(workers)
+                .thread_name(|i| format!("arc-ecc-{i}"))
+                .build()
+                .ok()
+        })
+        .flatten();
+    let Some(pool) = pool else {
+        return inline(&mut jobs.into_iter());
+    };
+    let results: Vec<Result<R, E>> = pool.install(|| jobs.par_iter_mut().map(&run_job).collect());
+    for result in results {
+        fold(result?);
+    }
+    Ok(true)
+}
+
 /// A chunk-parallel codec for one ECC scheme at a fixed thread count.
 ///
 /// Generic over the scheme so both the built-in [`EccConfig`] space and
 /// custom schemes registered through ARC's extension API (boxed
 /// `Arc<dyn EccScheme>`) get identical chunking and thread semantics.
+#[derive(Debug)]
 pub struct ParallelCodec<S: EccScheme = EccConfig> {
     config: S,
     chunk_size: usize,
     threads: usize,
-    pool: Option<rayon::ThreadPool>,
-}
-
-impl<S: EccScheme + std::fmt::Debug> std::fmt::Debug for ParallelCodec<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ParallelCodec")
-            .field("config", &self.config)
-            .field("chunk_size", &self.chunk_size)
-            .field("threads", &self.threads)
-            .finish()
-    }
 }
 
 impl<S: EccScheme> ParallelCodec<S> {
     /// Create a codec running on `threads` worker threads (1 = in-line
-    /// sequential execution, no pool is spawned; [`ANY_THREADS`] = all
-    /// available hardware threads).
+    /// sequential execution; [`ANY_THREADS`] = all available hardware
+    /// threads).
     pub fn new(config: S, threads: usize) -> Result<ParallelCodec<S>, EccError> {
         Self::with_chunk_size(config, threads, DEFAULT_CHUNK_SIZE)
     }
@@ -98,18 +142,7 @@ impl<S: EccScheme> ParallelCodec<S> {
         // touches them: keeps the one-time build out of the timed hot loops
         // and out of the per-chunk allocation budget.
         crate::gf256::warm_tables();
-        let pool = if threads > 1 {
-            Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .thread_name(|i| format!("arc-ecc-{i}"))
-                    .build()
-                    .map_err(|e| EccError::InvalidConfig(format!("thread pool: {e}")))?,
-            )
-        } else {
-            None
-        };
-        Ok(ParallelCodec { config, chunk_size, threads, pool })
+        Ok(ParallelCodec { config, chunk_size, threads })
     }
 
     /// The configuration this codec runs.
@@ -142,18 +175,15 @@ impl<S: EccScheme> ParallelCodec<S> {
         self.threads.min(data_len / floor).max(1)
     }
 
-    /// The pool to dispatch on, if parallelism is worth it for this length.
-    fn pool_for(&self, data_len: usize) -> Option<&rayon::ThreadPool> {
+    /// [`ParallelCodec::effective_workers`] for one pass over `data_len`
+    /// bytes, recorded as the pass's dispatch width.
+    fn pass_workers(&self, data_len: usize) -> usize {
         let workers = self.effective_workers(data_len);
         arc_telemetry::histogram_record("ecc.codec.effective_workers", workers as u64);
-        if workers > 1 {
-            self.pool.as_ref()
-        } else {
-            if self.pool.is_some() {
-                arc_telemetry::counter_add("ecc.codec.pool_bypassed", 1);
-            }
-            None
+        if workers == 1 && self.threads > 1 {
+            arc_telemetry::counter_add("ecc.codec.pool_bypassed", 1);
         }
+        workers
     }
 
     /// Total encoded length for `data_len` input bytes.
@@ -171,6 +201,24 @@ impl<S: EccScheme> ParallelCodec<S> {
         total
     }
 
+    /// Split `region`, the `data ‖ parity regions` layout of `data_len`
+    /// input bytes, into one `(data chunk, parity region)` pair per chunk,
+    /// lazily and in order: the one chunk-to-parity carve of every pass.
+    /// `region` must be exactly [`ParallelCodec::encoded_len`] bytes.
+    fn chunk_regions<'a>(
+        &'a self,
+        region: &'a mut [u8],
+        data_len: usize,
+    ) -> impl Iterator<Item = (&'a mut [u8], &'a mut [u8])> + 'a {
+        let (data, mut parity) = region.split_at_mut(data_len);
+        data.chunks_mut(self.chunk_size).map(move |chunk| {
+            let (p, rest) =
+                std::mem::take(&mut parity).split_at_mut(self.config.parity_len(chunk.len()));
+            parity = rest;
+            (chunk, p)
+        })
+    }
+
     /// Scatter-write `data ‖ parity regions` into `out`, which must be
     /// exactly [`ParallelCodec::encoded_len`] bytes. `out` may hold
     /// arbitrary garbage; every byte is overwritten.
@@ -180,50 +228,47 @@ impl<S: EccScheme> ParallelCodec<S> {
     /// only the job list itself is allocated.
     pub fn encode_into(&self, data: &[u8], out: &mut [u8]) {
         let _span = arc_telemetry::span("ecc.encode");
-        arc_telemetry::counter_add("ecc.encode.bytes", data.len() as u64);
-        arc_telemetry::counter_add(
-            "ecc.encode.chunks_submitted",
-            data.len().div_ceil(self.chunk_size) as u64,
-        );
-        let expected = self.encoded_len(data.len());
-        assert_eq!(out.len(), expected, "encode_into: output buffer size mismatch");
-        let (data_out, parity_all) = out.split_at_mut(data.len());
-        match self.pool_for(data.len()) {
-            Some(pool) => {
-                let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> =
-                    Vec::with_capacity(data.len().div_ceil(self.chunk_size));
-                let mut data_rest = data_out;
-                let mut parity_rest = parity_all;
-                for chunk in data.chunks(self.chunk_size) {
-                    let (d, rest) = data_rest.split_at_mut(chunk.len());
-                    data_rest = rest;
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    jobs.push((chunk, d, p));
-                }
-                pool.install(|| {
-                    jobs.par_iter_mut().for_each(|(src, dst, parity)| {
-                        let t = arc_telemetry::Stopwatch::start();
-                        dst.copy_from_slice(src);
-                        self.config.encode_parity_into(src, parity);
-                        arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
-                        arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
-                    });
-                });
-            }
-            None => {
-                data_out.copy_from_slice(data);
-                let mut parity_rest = parity_all;
-                for chunk in data.chunks(self.chunk_size) {
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    let t = arc_telemetry::Stopwatch::start();
-                    self.config.encode_parity_into(chunk, p);
-                    arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
-                    arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
-                }
-            }
+        self.encode_regions_into(&mut [(data, out)]);
+    }
+
+    /// Scatter-write every `(data, out)` pair: each `out` becomes `data`'s
+    /// own `data ‖ parity regions` layout, exactly as
+    /// [`ParallelCodec::encode_into`] writes it. The chunk jobs of all
+    /// pairs form one flat list on one dispatch, whose width the
+    /// bytes-per-thread floor sets from the pairs' *total* input, so many
+    /// small regions still fill the workers in aggregate.
+    ///
+    /// # Panics
+    ///
+    /// When an `out` is not exactly [`ParallelCodec::encoded_len`] of its
+    /// `data`.
+    pub fn encode_regions_into(&self, regions: &mut [(&[u8], &mut [u8])]) {
+        let mut data_len = 0;
+        let mut chunks = 0;
+        for (data, out) in regions.iter() {
+            assert_eq!(out.len(), self.encoded_len(data.len()), "output buffer size mismatch");
+            data_len += data.len();
+            chunks += data.len().div_ceil(self.chunk_size);
         }
+        arc_telemetry::counter_add("ecc.encode.bytes", data_len as u64);
+        arc_telemetry::counter_add("ecc.encode.chunks_submitted", chunks as u64);
+        let jobs = regions.iter_mut().flat_map(|(data, out)| {
+            let data: &[u8] = data;
+            data.chunks(self.chunk_size).zip(self.chunk_regions(out, data.len()))
+        });
+        let Ok(_) = run_jobs(
+            jobs,
+            self.pass_workers(data_len),
+            |(src, (dst, parity))| {
+                let t = arc_telemetry::Stopwatch::start();
+                dst.copy_from_slice(src);
+                self.config.encode_parity_into(src, parity);
+                arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
+                arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
+                Ok::<(), Infallible>(())
+            },
+            |()| {},
+        );
     }
 
     /// Encode `data`, returning `data ‖ parity regions`.
@@ -261,8 +306,9 @@ impl<S: EccScheme> ParallelCodec<S> {
     /// via [`ParallelCodec::decode_shard_in_place`].
     ///
     /// `out` must be exactly [`ParallelCodec::sharded_encoded_len`] bytes.
-    /// Chunk jobs are flattened across *all* shards into one pool pass,
-    /// so small shards don't serialize the workers.
+    /// One region per shard goes to [`ParallelCodec::encode_regions_into`],
+    /// so chunk jobs are flattened across *all* shards into one pass and
+    /// small shards don't serialize the workers.
     pub fn encode_sharded_into(
         &self,
         data: &[u8],
@@ -282,35 +328,18 @@ impl<S: EccScheme> ParallelCodec<S> {
                 ),
             });
         }
-        arc_telemetry::counter_add("ecc.encode.bytes", data.len() as u64);
         arc_telemetry::counter_add("ecc.encode.shards", data.len().div_ceil(shard_size) as u64);
-        // Carve per-shard regions, then per-chunk jobs within each shard;
-        // all jobs land in one flat list driven by a single pool pass.
-        let mut jobs: Vec<(&[u8], &mut [u8], &mut [u8])> = Vec::new();
         let mut out_rest = out;
-        for shard in data.chunks(shard_size) {
-            let (region, rest) = out_rest.split_at_mut(self.encoded_len(shard.len()));
-            out_rest = rest;
-            let (mut data_rest, mut parity_rest) = region.split_at_mut(shard.len());
-            for chunk in shard.chunks(self.chunk_size) {
-                let (d, rest) = data_rest.split_at_mut(chunk.len());
-                data_rest = rest;
-                let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                parity_rest = rest;
-                jobs.push((chunk, d, p));
-            }
-        }
-        let run = |(src, dst, parity): &mut (&[u8], &mut [u8], &mut [u8])| {
-            let t = arc_telemetry::Stopwatch::start();
-            dst.copy_from_slice(src);
-            self.config.encode_parity_into(src, parity);
-            arc_telemetry::histogram_record("ecc.encode.chunk_ns", t.elapsed_ns());
-            arc_telemetry::counter_add("ecc.encode.chunks_done", 1);
-        };
-        match self.pool_for(data.len()) {
-            Some(pool) => pool.install(|| jobs.par_iter_mut().for_each(run)),
-            None => jobs.iter_mut().for_each(run),
-        }
+        let mut regions: Vec<(&[u8], &mut [u8])> = data
+            .chunks(shard_size)
+            .map(|shard| {
+                let (region, rest) =
+                    std::mem::take(&mut out_rest).split_at_mut(self.encoded_len(shard.len()));
+                out_rest = rest;
+                (shard, region)
+            })
+            .collect();
+        self.encode_regions_into(&mut regions);
         Ok(())
     }
 
@@ -338,8 +367,9 @@ impl<S: EccScheme> ParallelCodec<S> {
     /// the sequential path, performs no full-buffer copy and no allocation
     /// for the schemes whose verify paths are allocation-free.
     ///
-    /// On error the buffer contents are unspecified (chunks preceding the
-    /// failed one may already have been repaired).
+    /// Returns the first uncorrectable chunk's error in chunk order, at
+    /// every thread count. On error the buffer contents are unspecified
+    /// (other chunks may already have been repaired).
     pub fn decode_in_place(
         &self,
         encoded: &mut [u8],
@@ -360,50 +390,19 @@ impl<S: EccScheme> ParallelCodec<S> {
                 ),
             });
         }
-        let (data_all, parity_all) = encoded.split_at_mut(data_len);
-        let merged = match self.pool_for(data_len) {
-            Some(pool) => {
-                let mut jobs: Vec<(&mut [u8], &mut [u8])> =
-                    // arc-lint: bounded(chunk count of a buffer already held in memory)
-                    Vec::with_capacity(data_len.div_ceil(self.chunk_size));
-                let mut parity_rest = parity_all;
-                for chunk in data_all.chunks_mut(self.chunk_size) {
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    jobs.push((chunk, p));
-                }
-                let results: Vec<Result<CorrectionReport, EccError>> = pool.install(|| {
-                    jobs.par_iter_mut()
-                        .map(|(chunk, parity)| {
-                            let t = arc_telemetry::Stopwatch::start();
-                            let r = self.config.verify_and_correct(chunk, parity);
-                            arc_telemetry::histogram_record("ecc.decode.chunk_ns", t.elapsed_ns());
-                            arc_telemetry::counter_add("ecc.decode.chunks_done", 1);
-                            r
-                        })
-                        .collect()
-                });
-                let mut merged = CorrectionReport::default();
-                for r in results {
-                    merged.merge(&r?);
-                }
-                merged
-            }
-            None => {
-                let mut merged = CorrectionReport::default();
-                let mut parity_rest = parity_all;
-                for chunk in data_all.chunks_mut(self.chunk_size) {
-                    let (p, rest) = parity_rest.split_at_mut(self.config.parity_len(chunk.len()));
-                    parity_rest = rest;
-                    let t = arc_telemetry::Stopwatch::start();
-                    let r = self.config.verify_and_correct(chunk, p);
-                    arc_telemetry::histogram_record("ecc.decode.chunk_ns", t.elapsed_ns());
-                    arc_telemetry::counter_add("ecc.decode.chunks_done", 1);
-                    merged.merge(&r?);
-                }
-                merged
-            }
-        };
+        let mut merged = CorrectionReport::default();
+        run_jobs(
+            self.chunk_regions(encoded, data_len),
+            self.pass_workers(data_len),
+            |(chunk, parity)| {
+                let t = arc_telemetry::Stopwatch::start();
+                let r = self.config.verify_and_correct(chunk, parity);
+                arc_telemetry::histogram_record("ecc.decode.chunk_ns", t.elapsed_ns());
+                arc_telemetry::counter_add("ecc.decode.chunks_done", 1);
+                r
+            },
+            |report| merged.merge(&report),
+        )?;
         arc_telemetry::counter_add("ecc.decode.corrected_bits", merged.corrected_bits);
         arc_telemetry::counter_add("ecc.decode.corrected_devices", merged.corrected_devices);
         Ok(merged)
@@ -572,28 +571,84 @@ mod tests {
         }
     }
 
+    const POOL_CHUNK: usize = 256 * 1024;
+
+    /// `cfg` at 4 threads and at 1 over twice its bytes-per-thread floor
+    /// plus a tail chunk: the 4-thread codec really runs 2 workers on the
+    /// pool, the 1-thread codec runs inline.
+    fn pool_and_inline(cfg: EccConfig) -> (ParallelCodec, ParallelCodec, Vec<u8>) {
+        let pool = ParallelCodec::with_chunk_size(cfg, 4, POOL_CHUNK).unwrap();
+        let inline = ParallelCodec::with_chunk_size(cfg, 1, POOL_CHUNK).unwrap();
+        let data = sample(2 * cfg.min_bytes_per_thread() + 12_345);
+        assert_eq!(pool.effective_workers(data.len()), 2, "{cfg}: input must clear the floor");
+        (pool, inline, data)
+    }
+
+    /// Flip one bit in each of the first `devices` RS(16,4) data devices of
+    /// `chunk` (for other schemes: in the first `devices` 16ths of it).
+    fn break_devices(enc: &mut [u8], chunk: usize, devices: usize) {
+        let device = POOL_CHUNK / 16;
+        for i in 0..devices {
+            flip_bit(enc, ((chunk * POOL_CHUNK + i * device + 100) * 8) as u64);
+        }
+    }
+
     #[test]
     fn corrects_one_flip_per_chunk() {
-        let cfg = EccConfig::secded(true);
-        let codec = ParallelCodec::with_chunk_size(cfg, 4, 10_000).unwrap();
-        let data = sample(100_000);
-        let mut enc = codec.encode(&data);
-        for i in 0..10u64 {
-            flip_bit(&mut enc, i * 10_000 * 8 + i * 64);
+        for cfg in [EccConfig::secded(true), EccConfig::rs(16, 4).unwrap()] {
+            let (pool, inline, data) = pool_and_inline(cfg);
+            let enc = pool.encode(&data);
+            assert_eq!(enc, inline.encode(&data), "{cfg}");
+            let mut bad = enc.clone();
+            let chunks = data.len().div_ceil(POOL_CHUNK);
+            for c in 0..chunks {
+                break_devices(&mut bad, c, 1);
+            }
+            let (out, report) = pool.decode(&bad, data.len()).unwrap();
+            assert_eq!(out, data, "{cfg}");
+            // SEC-DED repairs the bit, RS the device holding it.
+            assert_eq!(report.corrected_bits + report.corrected_devices, chunks as u64, "{cfg}");
+            assert_eq!(inline.decode(&bad, data.len()).unwrap(), (out, report), "{cfg}");
         }
-        let (out, report) = codec.decode(&enc, data.len()).unwrap();
-        assert_eq!(out, data);
-        assert_eq!(report.corrected_bits, 10);
     }
 
     #[test]
     fn uncorrectable_chunk_fails_whole_decode() {
-        let cfg = EccConfig::parity(8).unwrap();
-        let codec = ParallelCodec::with_chunk_size(cfg, 2, 1000).unwrap();
-        let data = sample(5000);
-        let mut enc = codec.encode(&data);
-        flip_bit(&mut enc, 12345);
-        assert!(matches!(codec.decode(&enc, data.len()), Err(EccError::Uncorrectable { .. })));
+        let (pool, inline, data) = pool_and_inline(EccConfig::rs(16, 4).unwrap());
+        let enc = pool.encode(&data);
+        // Chunk 2 loses 5 devices and chunk 6 loses 7, both past the m = 4
+        // that RS(16,4) can rebuild, so each fails with its own count.
+        let mut first = enc.clone();
+        break_devices(&mut first, 2, 5);
+        let mut second = enc.clone();
+        break_devices(&mut second, 6, 7);
+        let mut both = first.clone();
+        break_devices(&mut both, 6, 7);
+        let expected = inline.decode(&first, data.len()).unwrap_err();
+        assert!(matches!(expected, EccError::Uncorrectable { .. }));
+        assert_ne!(inline.decode(&second, data.len()).unwrap_err(), expected);
+        for codec in [&pool, &inline] {
+            assert_eq!(codec.decode(&both, data.len()).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn run_jobs_folds_in_job_order_and_first_err_wins() {
+        for workers in [1usize, 2, 4] {
+            let double = |j: &mut usize| Ok::<usize, usize>(*j * 2);
+            let mut seen = Vec::new();
+            let pooled = run_jobs(0..50usize, workers, double, |r| seen.push(r)).unwrap();
+            assert_eq!(pooled, workers > 1, "workers={workers}");
+            assert_eq!(seen, (0..50).map(|j| j * 2).collect::<Vec<_>>(), "workers={workers}");
+
+            let fail = |j: &mut usize| if *j == 17 || *j == 33 { Err(*j) } else { Ok(*j) };
+            let mut seen = Vec::new();
+            assert_eq!(run_jobs(0..50usize, workers, fail, |r| seen.push(r)), Err(17));
+            assert_eq!(seen, (0..17).collect::<Vec<_>>(), "workers={workers}");
+
+            let one = run_jobs([7usize], workers, double, |_| {});
+            assert_eq!(one, Ok(false), "one job runs inline, workers={workers}");
+        }
     }
 
     #[test]
@@ -646,16 +701,26 @@ mod tests {
 
     #[test]
     fn sharded_encode_matches_per_shard_encode() {
-        let data = sample(100_000);
+        // Above RS's 1 MiB-per-worker floor, so its 4-thread pass runs on
+        // the pool; the lighter schemes' 4 MiB floor keeps theirs inline.
+        let data = sample((2 << 20) + 5_000);
         for cfg in
             [EccConfig::parity(4).unwrap(), EccConfig::secded(true), EccConfig::rs(16, 4).unwrap()]
         {
+            let shard_size = 24 * 1024;
+            let mut inline = Vec::new();
             for threads in [1usize, 4] {
                 let codec = ParallelCodec::with_chunk_size(cfg, threads, 8 * 1024).unwrap();
-                let shard_size = 24 * 1024;
+                if cfg.name() == "rs" && threads == 4 {
+                    assert_eq!(codec.effective_workers(data.len()), 2);
+                }
                 let total = codec.sharded_encoded_len(data.len(), shard_size);
                 let mut out = vec![0x5Au8; total];
                 codec.encode_sharded_into(&data, shard_size, &mut out).unwrap();
+                if threads == 1 {
+                    inline = out.clone();
+                }
+                assert_eq!(out, inline, "{cfg}: pool and inline bytes differ");
                 // Every shard region equals the standalone encode of its slice.
                 let mut pos = 0;
                 for shard in data.chunks(shard_size) {
